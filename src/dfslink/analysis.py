@@ -436,19 +436,22 @@ def tomo_mle(
 def concurrence(rho: DensityOperator) -> float:
     """Wootters concurrence of a two-qubit state.
 
-    The lambdas are the square-root eigenvalues of rho rho~ with
-    rho~ = (Y(x)Y) rho* (Y(x)Y); they are computed through the similar
-    Hermitian matrix sqrt(rho) rho~ sqrt(rho) for numerical stability.
+    With rho = W W^dagger, W = V sqrt(Lambda) over the eigenpairs above
+    1e-14 lambda_max, the lambdas are the singular values of the symmetric
+    matrix tau = W^T (Y(x)Y) W (Wootters, PRL 80, 2245, 1998).  No square
+    root of a near-zero number is taken, so rank-deficient states keep full
+    precision.
     """
     if rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit state")
     yy = np.kron(PAULI_Y, PAULI_Y)
     vals, vecs = eig_hermitian(rho.matrix)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    rho_tilde = yy @ rho.matrix.conj() @ yy
-    m = root @ rho_tilde @ root
-    lams = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))
-    return float(max(0.0, lams[3] - lams[2] - lams[1] - lams[0]))
+    keep = vals > 1e-14 * vals[0]
+    if not keep.any():
+        return 0.0
+    w = vecs[:, keep] * np.sqrt(vals[keep])
+    lams = np.linalg.svd(w.T @ yy @ w, compute_uv=False)
+    return float(max(0.0, lams[0] - np.sum(lams[1:])))
 
 
 def _binary_entropy(x: float) -> float:

@@ -13,7 +13,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -68,6 +68,9 @@ class DephasingSpec:
             raise ValueError("dephasing basis must be a 2x2 matrix of column states")
         if np.max(np.abs(b.conj().T @ b - np.eye(2))) >= ATOL_STRICT:
             raise ValueError("dephasing basis is not orthonormal within 1e-12")
+        for name in ("mean_phase", "per_photon_sigma", "delta_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.per_photon_sigma < 0 or self.delta_sigma < 0:
             raise ValueError("sigma parameters must be non-negative")
         if self.distribution not in ("uniform", "gaussian"):
@@ -77,14 +80,21 @@ class DephasingSpec:
     def is_computational(self) -> bool:
         return bool(np.max(np.abs(self.basis - np.eye(2))) < ATOL_STRICT)
 
-    def common_characteristic(self, m: int) -> complex:
-        """E[exp(i m phi)] for the common phase phi."""
-        if m == 0:
-            return 1.0 + 0.0j
+    def characteristic(self, m, m_jitter=0) -> np.ndarray:
+        """E[exp(i (m phi + m_jitter delta))], elementwise over integer arrays.
+
+        ``phi`` is the common phase and ``delta`` the zero-mean gaussian
+        jitter of spread ``delta_sigma`` that rides on one photon; ``m`` is
+        the total excitation difference of all channel photons and
+        ``m_jitter`` that of the jittered photon alone.
+        """
+        m = np.asarray(m)
         if self.distribution == "uniform":
-            return 0.0 + 0.0j
-        s = self.per_photon_sigma
-        return np.exp(1j * self.mean_phase * m - 0.5 * (s * m) ** 2)
+            common = (m == 0).astype(complex)
+        else:
+            s = self.per_photon_sigma
+            common = np.exp(1j * self.mean_phase * m - 0.5 * (s * m) ** 2)
+        return common * np.exp(-0.5 * (self.delta_sigma * np.asarray(m_jitter)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,8 @@ def apply_phase_damping(
     photons,
     damping: Callable[[np.ndarray], np.ndarray],
 ) -> DensityOperator:
-    """Shared kernel: scale each off-diagonal block by a function of the
-    difference in channel basis-1 occupation between bra and ket.
+    """Scale each off-diagonal block by a function of the difference in
+    channel basis-1 occupation between bra and ket.
 
     ``damping`` receives the integer difference matrix and must return the
     complex multipliers elementwise.
@@ -148,15 +158,7 @@ def collective_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> De
         raise ValueError("delta_sigma != 0: route through correlated_dephase")
     if not spec.is_computational():
         raise ValueError("non-computational dephasing basis: route through rotate_basis")
-    table = {m: spec.common_characteristic(m) for m in range(-4, 5)}
-
-    def damping(diff):
-        out = np.empty(diff.shape, dtype=complex)
-        for m in np.unique(diff):
-            out[diff == m] = table.get(int(m), spec.common_characteristic(int(m)))
-        return out
-
-    return apply_phase_damping(rho, photons, damping)
+    return apply_phase_damping(rho, photons, spec.characteristic)
 
 
 def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> DensityOperator:
@@ -182,37 +184,33 @@ def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> De
     kp = _basis_one_counts(n, [sprime])
     ds = ks[:, None] - ks[None, :]
     dp = kp[:, None] - kp[None, :]
-    total = ds + dp
-    char = np.empty(total.shape, dtype=complex)
-    for m in np.unique(total):
-        char[total == m] = spec.common_characteristic(int(m))
-    jitter = np.exp(-0.5 * (spec.delta_sigma * ds) ** 2)
-    return DensityOperator(rho.matrix * (char * jitter))
+    return DensityOperator(rho.matrix * spec.characteristic(ds + dp, ds))
 
 
 def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityOperator:
-    """Dephase in an arbitrary single-qubit basis.
+    """Dephase the channel photons in the spec's single-qubit basis.
 
-    Conjugates the channel photons into the spec basis, delegates to
-    :func:`collective_dephase` or :func:`correlated_dephase` depending on
-    ``delta_sigma``, and conjugates back.
+    The general channel kernel: conjugates the channel photons into the spec
+    basis, multiplies every matrix element by
+    ``spec.characteristic(m_all, m_first)`` and conjugates back.  The jitter
+    rides on the first photon listed (the smallest index of a
+    :class:`ChannelPhotonSet`), so jitter needs one or two photons.
     """
     n = rho.num_qubits
     if isinstance(photons, ChannelPhotonSet):
         ordered = sorted(photons.indices)
     else:
         ordered = list(dict.fromkeys(int(i) for i in photons))
-    idx = set(_photon_indices(ordered, n))
+    _photon_indices(ordered, n)
+    if spec.delta_sigma != 0.0 and len(ordered) > 2:
+        raise ValueError("correlated dephasing needs one photon or an ordered pair")
     w = np.array([[1.0]], dtype=complex)
     binv = spec.basis.conj().T
     for q in range(n):
-        w = np.kron(w, binv if q in idx else np.eye(2, dtype=complex))
-    rotated = DensityOperator(w @ rho.matrix @ w.conj().T)
-    flat = replace(spec, basis=np.eye(2, dtype=complex))
-    if spec.delta_sigma == 0.0:
-        out = collective_dephase(rotated, idx, flat)
-    else:
-        if len(ordered) != 2:
-            raise ValueError("correlated dephasing needs an ordered photon pair")
-        out = correlated_dephase(rotated, tuple(ordered), flat)
-    return DensityOperator(w.conj().T @ out.matrix @ w)
+        w = np.kron(w, binv if q in ordered else np.eye(2, dtype=complex))
+    k_all = _basis_one_counts(n, ordered)
+    k_first = _basis_one_counts(n, ordered[:1])
+    damping = spec.characteristic(k_all[:, None] - k_all[None, :],
+                                  k_first[:, None] - k_first[None, :])
+    rotated = w @ rho.matrix @ w.conj().T
+    return DensityOperator(w.conj().T @ (rotated * damping) @ w)

@@ -9,6 +9,12 @@ decodes by measuring the redundant photon diagonally, applying a pi phase
 correction when the minus outcome is kept.  The encoding never looks at the
 input amplitudes, so entanglement with the spectators survives untouched.
 
+Encode, dephase and sift touch only S, so for a fixed channel spec the link
+is one trace-decreasing map from one qubit to one qubit.  :func:`distribute`
+derives that map's Choi tensor by running the stage functions on |Phi+> of
+(reference, S), then applies it to the last qubit of the caller's register;
+the stage functions remain the only statement of the physics.
+
 State bookkeeping: the protocol input orders qubits (spectators..., S); the
 ancilla is appended last, and after sifting the surviving logical qubit takes
 S's position, so outputs are ordered (spectators..., Y).
@@ -21,14 +27,8 @@ from typing import Dict
 
 import numpy as np
 
-from .channels import DephasingSpec, apply_phase_damping, rotate_basis
-from .qmath import (
-    KET_D,
-    PAULI_Z,
-    DensityOperator,
-    StateVector,
-    tensor,
-)
+from .channels import DephasingSpec, rotate_basis
+from .qmath import KET_D, DensityOperator, StateVector, tensor
 
 __all__ = [
     "ProtocolInput",
@@ -42,9 +42,9 @@ __all__ = [
     "baseline_direct",
 ]
 
-# Protocol-layer states stay small and dense; five qubits after encoding
-# covers up to three spectators plus the channel pair.
-MAX_QUBITS = 5
+# (|HH> + |VV>)/sqrt(2) on (reference, S): probing the link with it yields
+# half the link's Choi matrix.
+_PHI_PLUS = StateVector([1.0, 0.0, 0.0, 1.0]).normalize().density()
 
 
 def prepare_phi_minus() -> StateVector:
@@ -75,10 +75,6 @@ class ProtocolInput:
         n = self.state.num_qubits
         if n < 1:
             raise ValueError("protocol input needs at least the channel qubit S")
-        if n + 1 > MAX_QUBITS:
-            raise ValueError(
-                f"protocol layer supports at most {MAX_QUBITS} qubits after encoding"
-            )
         if abs(self.state.norm - 1.0) > 1e-9:
             raise ValueError("protocol input state must be normalized")
 
@@ -150,20 +146,15 @@ def qpg_sift(
     return out, out.norm
 
 
-def _embed_z(n: int, index: int) -> np.ndarray:
-    op = np.array([[1.0]], dtype=complex)
-    for q in range(n):
-        op = np.kron(op, PAULI_Z if q == index else np.eye(2, dtype=complex))
-    return op
-
-
 def decode(rho: DensityOperator, x_index: int, keep_dbar: bool = False) -> ProtocolOutcome:
     """Diagonal-basis measurement of the redundant photon.
 
     On the sifted logical space the plus outcome leaves the state untouched
-    and the minus outcome imprints a Z, each with half the input weight.  The
-    minus branch is discarded by default (the correction is a pi phase shift
-    on qubit ``x_index``; ``keep_dbar`` applies it and keeps the branch).
+    and the minus outcome imprints a Z on qubit ``x_index``, each with half
+    the input weight.  The minus branch is discarded by default;
+    ``keep_dbar`` applies the pi phase correction, which undoes that Z
+    exactly (Z Z rho Z Z = rho), and keeps the branch.  Either way the kept
+    state is ``rho`` normalized.
 
     Branch probabilities are absolute, i.e. they inherit the norm of a
     sub-normalized input.
@@ -171,41 +162,38 @@ def decode(rho: DensityOperator, x_index: int, keep_dbar: bool = False) -> Proto
     n = rho.num_qubits
     if x_index < 0 or x_index >= n:
         raise ValueError(f"qubit index {x_index} out of range for {n} qubits")
-    z = _embed_z(n, x_index)
-    p_d = 0.5 * rho.norm
-    p_dbar = 0.5 * rho.norm
-    kept = 0.5 * rho.matrix
-    dbar_backaction = 0.5 * (z @ rho.matrix @ z.conj().T)
-    branches = {"D": p_d}
-    if keep_dbar:
-        # The pi phase shift on Y undoes the measurement back-action.
-        kept = kept + z @ dbar_backaction @ z.conj().T
-        branches["Dbar_corrected"] = p_dbar
-    else:
-        branches["Dbar_discarded"] = p_dbar
-    success = p_d + (p_dbar if keep_dbar else 0.0)
+    p_branch = 0.5 * rho.norm
+    dbar = "Dbar_corrected" if keep_dbar else "Dbar_discarded"
+    branches = {"D": p_branch, dbar: p_branch}
+    success = rho.norm if keep_dbar else p_branch
     if success <= 0.0:
         state = DensityOperator(np.zeros_like(rho.matrix))
     else:
-        state = DensityOperator(kept / success)
+        state = rho.normalized()
     return ProtocolOutcome(state, success, branches)
 
 
 def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     """Full pipeline: encode, dephase, sift, decode.
 
-    The output state lives on (spectators..., Y) and the branch map covers
-    {D, Dbar, sift_fail}; the success probability multiplies the sift and
-    kept-decode probabilities.
+    The stages run once on |Phi+> of (reference, S), which gives the link's
+    Choi tensor J[s, y, s', y'] = 2 <s y| sifted |s' y'>.  J then acts on
+    the last qubit of the input register, and :func:`decode` does the branch
+    bookkeeping.  The output state lives on (spectators..., Y) and the branch
+    map covers {D, Dbar, sift_fail}; the success probability multiplies the
+    sift and kept-decode probabilities.
     """
-    encoded = encode_append(inp)
-    n = encoded.num_qubits
-    s_index, sprime_index = n - 2, n - 1
-    noisy = rotate_basis(inp.channel_spec, encoded, (s_index, sprime_index))
-    sifted, p_sift = qpg_sift(noisy, s_index, sprime_index)
-    outcome = decode(sifted, x_index=s_index, keep_dbar=inp.keep_dbar_branch)
+    spec = inp.channel_spec
+    probe = encode_append(ProtocolInput(_PHI_PLUS, spec))
+    sifted, _ = qpg_sift(rotate_basis(spec, probe, (1, 2)), 1, 2)
+    choi = 2.0 * sifted.matrix.reshape(2, 2, 2, 2)
+    r = inp.state.dim // 2
+    rho = np.einsum("asbt,sytz->aybz", inp.state.matrix.reshape(r, 2, r, 2), choi)
+    link_out = DensityOperator(rho.reshape(2 * r, 2 * r))
+    outcome = decode(link_out, x_index=inp.state.num_qubits - 1,
+                     keep_dbar=inp.keep_dbar_branch)
     branches = dict(outcome.branch_probabilities)
-    branches["sift_fail"] = 1.0 - p_sift
+    branches["sift_fail"] = 1.0 - link_out.norm
     return ProtocolOutcome(outcome.state, outcome.success_probability, branches)
 
 
@@ -216,39 +204,4 @@ def baseline_direct(inp: ProtocolInput) -> DensityOperator:
     riding on S combine into one characteristic function.  Success
     probability is 1 (nothing is post-selected).
     """
-    spec = inp.channel_spec
-    n = inp.state.num_qubits
-    s_index = n - 1
-    if spec.is_computational():
-        sd = spec.delta_sigma
-
-        def damping(diff):
-            out = np.empty(diff.shape, dtype=complex)
-            for m in np.unique(diff):
-                out[diff == m] = spec.common_characteristic(int(m)) * np.exp(
-                    -0.5 * (sd * int(m)) ** 2
-                )
-            return out
-
-        return apply_phase_damping(inp.state, [s_index], damping)
-    if spec.delta_sigma == 0.0:
-        return rotate_basis(spec, inp.state, [s_index])
-    # Rotate by hand so the single-photon jitter convention matches above.
-    w = np.array([[1.0]], dtype=complex)
-    for q in range(n):
-        w = np.kron(
-            w, spec.basis.conj().T if q == s_index else np.eye(2, dtype=complex)
-        )
-    rotated = DensityOperator(w @ inp.state.matrix @ w.conj().T)
-    flat_input = ProtocolInput(
-        rotated,
-        DephasingSpec(
-            mean_phase=spec.mean_phase,
-            per_photon_sigma=spec.per_photon_sigma,
-            delta_sigma=spec.delta_sigma,
-            distribution=spec.distribution,
-        ),
-        inp.keep_dbar_branch,
-    )
-    out = baseline_direct(flat_input)
-    return DensityOperator(w.conj().T @ out.matrix @ w)
+    return rotate_basis(inp.channel_spec, inp.state, [inp.state.num_qubits - 1])

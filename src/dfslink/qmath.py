@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * single-qubit polarization basis is H = 0, V = 1;
 * multi-qubit states order their tensor factors most-significant first,
   so qubit 0 owns the leftmost Kronecker factor;
-* states are dense (protocol-layer dimensions never exceed 16);
+* states are dense matrices;
 * conditional (post-selected) states are kept sub-normalized and carry an
   explicit ``norm`` field instead of being silently renormalized.
 """
@@ -39,8 +39,8 @@ __all__ = [
     "PAULI_Z",
 ]
 
-# Construction-time tolerance (double precision headroom for dim <= 16) and
-# the looser tolerance used for channel completeness / positivity checks.
+# Construction-time tolerance for hermiticity, trace and unitarity, and the
+# looser tolerance used for channel completeness / positivity checks.
 ATOL_STRICT = 1e-12
 ATOL_CHANNEL = 1e-10
 
@@ -115,6 +115,8 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T), initial=0.0) >= ATOL_STRICT:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = np.trace(m)

@@ -14,7 +14,7 @@ from dfslink.channels import (
     correlated_dephase,
     rotate_basis,
 )
-from dfslink.dfs_protocol import prepare_phi_minus
+from dfslink.dfs_protocol import ProtocolInput, baseline_direct, prepare_phi_minus
 from dfslink.qmath import (
     KET_D,
     KET_H,
@@ -138,6 +138,38 @@ def test_correlated_requires_pair():
         correlated_dephase(KET_D.density(), (0,), DephasingSpec(delta_sigma=0.1))
 
 
+def test_rotate_basis_jitter_photon_count(rng):
+    # A lone jittered photon sees the common and jitter phases as one
+    # gaussian of combined spread; three photons have no jitter convention.
+    rho = haar_state(4, rng).density()
+    spec = DephasingSpec(mean_phase=0.3, per_photon_sigma=0.5, delta_sigma=0.7,
+                         distribution="gaussian")
+    combined = DephasingSpec(mean_phase=0.3, per_photon_sigma=np.hypot(0.5, 0.7),
+                             distribution="gaussian")
+    out = rotate_basis(spec, rho, [1])
+    ref = collective_dephase(rho, {1}, combined)
+    assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-12
+    with pytest.raises(ValueError):
+        rotate_basis(spec, haar_state(8, rng).density(), (0, 1, 2))
+
+
+def test_baseline_circular_jitter_matches_mc_oracle(rng):
+    # In the circular basis the phases act on the L/R components of S:
+    # rotate S into that basis, apply the sampled phases, rotate back.
+    spec = DephasingSpec(basis=CIRCULAR_BASIS, mean_phase=0.4, per_photon_sigma=0.6,
+                         delta_sigma=1.0, distribution="gaussian")
+    rho = prepare_phi_minus().density()
+    out = baseline_direct(ProtocolInput(rho, spec))
+    w = np.kron(np.eye(2), CIRCULAR_BASIS.conj().T)
+    n = 100_000
+    phis = {1: rng.normal(0.4, 0.6, size=n) + rng.normal(0.0, 1.0, size=n)}
+    rotated = DensityOperator(w @ rho.matrix @ w.conj().T)
+    mc = w.conj().T @ mc_dephase(rotated, phis, 2) @ w
+    # Each element's standard error is below 0.5 / sqrt(n); dropping the
+    # jitter or flipping the mean phase moves some element by over 0.07.
+    assert np.max(np.abs(mc - out.matrix)) < 5.0 / np.sqrt(n)
+
+
 def test_rotate_basis_circular_diagonal_state_unchanged():
     spec = DephasingSpec(basis=CIRCULAR_BASIS)
     rho = KET_R.density()
@@ -248,6 +280,13 @@ def test_fidelity_monotone_in_jitter():
         out = correlated_dephase(rho, (1, 2), DephasingSpec(delta_sigma=sd))
         fids.append(fidelity_with_pure(out, encoded_bell_state()))
     assert all(b <= a + 1e-12 for a, b in zip(fids, fids[1:]))
+
+
+@pytest.mark.parametrize("name", ["mean_phase", "per_photon_sigma", "delta_sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        DephasingSpec(distribution="gaussian", **{name: bad})
 
 
 def test_spec_validation():

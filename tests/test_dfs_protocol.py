@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import haar_state, haar_unitary
-from dfslink.channels import DephasingSpec
+from conftest import haar_state, haar_unitary, random_density
+from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
 from dfslink.dfs_protocol import (
     ProtocolInput,
     baseline_direct,
@@ -200,6 +200,44 @@ def test_branch_probability_bookkeeping(rng):
         spec = DephasingSpec(delta_sigma=rng.uniform(0, 1))
         out = distribute(ProtocolInput(psi.density(), spec))
         assert abs(sum(out.branch_probabilities.values()) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("basis", ["hv", "circular", "random"])
+@pytest.mark.parametrize("delta_sigma", [0.0, 0.7])
+@pytest.mark.parametrize("keep", [False, True])
+def test_distribute_matches_stage_composition(n, basis, delta_sigma, keep, rng):
+    # The stages run on the whole register are the reference for the link
+    # map that distribute derives from them and applies to S alone.
+    b = {"hv": np.eye(2), "circular": CIRCULAR_BASIS,
+         "random": haar_unitary(2, rng)}[basis]
+    spec = DephasingSpec(basis=b, mean_phase=0.3, per_photon_sigma=0.8,
+                         delta_sigma=delta_sigma, distribution="gaussian")
+    for rank in (1, 2**n):
+        inp = ProtocolInput(random_density(2**n, rng, rank), spec, keep)
+        sifted, p_sift = qpg_sift(rotate_basis(spec, encode_append(inp), (n - 1, n)),
+                                  n - 1, n)
+        ref = decode(sifted, n - 1, keep)
+        out = distribute(inp)
+        assert np.max(np.abs(out.state.matrix - ref.state.matrix)) < 1e-12
+        assert abs(out.success_probability - ref.success_probability) < 1e-12
+        branches = dict(ref.branch_probabilities, sift_fail=1.0 - p_sift)
+        assert out.branch_probabilities.keys() == branches.keys()
+        for name, prob in branches.items():
+            assert abs(out.branch_probabilities[name] - prob) < 1e-12
+        assert abs(sum(out.branch_probabilities.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("keep, success", [(False, 0.25), (True, 0.5)])
+def test_distribute_ghz_with_spectators_unchanged(keep, success):
+    # Six spectators and S in a GHZ state: any register size passes through
+    # uniform collective noise unchanged.
+    amp = np.zeros(2**7, dtype=complex)
+    amp[0] = amp[-1] = 1 / np.sqrt(2)
+    ghz = StateVector(amp).density()
+    out = distribute(ProtocolInput(ghz, UNIFORM, keep_dbar_branch=keep))
+    assert np.max(np.abs(out.state.matrix - ghz.matrix)) < 1e-12
+    assert abs(out.success_probability - success) < 1e-12
 
 
 def test_distribute_commutes_with_spectator_unitaries(rng):

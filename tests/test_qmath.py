@@ -194,6 +194,13 @@ def test_density_operator_rejects_negative():
         DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
 
+@pytest.mark.parametrize("dim, bad", [(128, np.nan), (2, np.inf)])
+def test_density_operator_rejects_non_finite(dim, bad):
+    # NaN fails every comparison, and above dim 64 the PSD check is skipped.
+    with pytest.raises(ValueError, match="finite"):
+        DensityOperator(np.full((dim, dim), bad, dtype=complex))
+
+
 def test_unitary_flag_validated():
     with pytest.raises(ValueError):
         Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), is_unitary=True)
