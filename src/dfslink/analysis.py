@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -100,6 +100,8 @@ class MeasSetting:
             if isinstance(a, str):
                 if a not in _NAMED_ANALYZERS:
                     raise ValueError(f"unknown analyzer label {a!r}")
+            elif not math.isfinite(a):
+                raise ValueError(f"analyzer angle must be finite, got {a!r}")
             else:
                 object.__setattr__(self, name, round(float(a) % 180.0, 9))
 
@@ -128,8 +130,10 @@ class CountRecord:
     scale: Optional[float] = None
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("counts must be non-negative")
+        if not (math.isfinite(self.count) and self.count >= 0):
+            raise ValueError("counts must be finite and non-negative")
+        if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +187,24 @@ def chsh_settings(settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> list[MeasS
     return out
 
 
-def _angle_key(a: Analyzer) -> float:
-    ket = _analyzer_ket(a)
-    # Linear analyzers only; map the ket back to its angle mod 180 degrees.
-    theta = math.degrees(math.atan2(float(ket.amplitudes[1].real),
-                                    float(ket.amplitudes[0].real)))
-    return round(theta % 180.0, 6)
+def _angle_key(a: Analyzer) -> Optional[float]:
+    """Linear-analyzer angle mod 180 degrees, rounded alike for records and
+    lookups; None for the circular analyzers L and R."""
+    if isinstance(a, str):
+        return {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}.get(a)
+    return round(float(a) % 180.0, 6)
+
+
+def _correlation(counts: Sequence[float], where: str) -> tuple[float, float]:
+    """E = (C++ + C-- - C+- - C-+) / sum(C) from the counts (C++, C+-, C-+,
+    C--) of one complete basis, and its Poisson variance."""
+    c_pp, c_pm, c_mp, c_mm = counts
+    total = c_pp + c_pm + c_mp + c_mm
+    if total <= 0:
+        raise ValueError(f"zero total counts {where}")
+    e = (c_pp + c_mm - c_pm - c_mp) / total
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    return e, float(np.sum(np.array(counts) * (signs - e) ** 2)) / total**2
 
 
 def chsh_from_counts(
@@ -198,34 +214,26 @@ def chsh_from_counts(
     """Estimate S and its standard deviation from 16 coincidence counts.
 
     Per CHSH term, E = (C(a,b) + C(a+,b+) - C(a,b+) - C(a+,b)) / sum(C); the
-    error bar propagates Poisson variances through the ratio.
+    error bar propagates Poisson variances through the ratio.  Records with a
+    circular analyzer (L or R) are ignored.
     """
     table = {}
     for rec in records:
         key = (_angle_key(rec.setting.analyzer_a), _angle_key(rec.setting.analyzer_b))
-        table[key] = table.get(key, 0.0) + float(rec.count)
+        if None not in key:
+            table[key] = table.get(key, 0.0) + float(rec.count)
     a, ap, b, bp = settings
     s_total = 0.0
     var_total = 0.0
-    for ta in (a, ap):
-        for tb in (b, bp):
-            sign = -1.0 if (ta == a and tb == bp) else 1.0
-            counts = []
-            for da in (0.0, 90.0):
-                for db in (0.0, 90.0):
-                    key = (round((ta + da) % 180.0, 6), round((tb + db) % 180.0, 6))
-                    if key not in table:
-                        raise ValueError(f"missing counts for analyzer pair {key}")
-                    counts.append(table[key])
-            c_pp, c_pm, c_mp, c_mm = counts
-            total = c_pp + c_pm + c_mp + c_mm
-            if total <= 0:
-                raise ValueError(f"zero total counts for setting pair ({ta}, {tb})")
-            e = (c_pp + c_mm - c_pm - c_mp) / total
-            signs = np.array([1.0, -1.0, -1.0, 1.0])
-            var_e = float(np.sum(np.array(counts) * (signs - e) ** 2)) / total**2
-            s_total += sign * e
-            var_total += var_e
+    for sign, ta, tb in ((1.0, a, b), (-1.0, a, bp), (1.0, ap, b), (1.0, ap, bp)):
+        try:
+            counts = [table[(_angle_key(ta + da), _angle_key(tb + db))]
+                      for da in (0.0, 90.0) for db in (0.0, 90.0)]
+        except KeyError as exc:
+            raise ValueError(f"missing counts for analyzer pair {exc}") from None
+        e, var_e = _correlation(counts, f"for setting pair ({ta}, {tb})")
+        s_total += sign * e
+        var_total += var_e
     return s_total, math.sqrt(var_total)
 
 
@@ -262,16 +270,32 @@ def simulate_counts(
     totals_arr = np.broadcast_to(np.asarray(totals, dtype=float), (len(settings),))
     if np.any(totals_arr <= 0):
         raise ValueError("totals must be positive")
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting, total in zip(settings, totals_arr):
-        p = float(np.real(np.trace(rho.matrix @ setting.joint_projector())))
-        p = min(max(p, 0.0), 1.0)
-        count = int(rng.poisson(total * p))
-        records.append(
-            CountRecord(setting, count, duration_s=duration_s, scale=float(total))
-        )
-    return records
+    probs = np.clip(_probabilities(rho.matrix, _projector_stack(settings)), 0.0, 1.0)
+    counts = np.random.default_rng(seed).poisson(totals_arr * probs)
+    return [
+        CountRecord(setting, int(count), duration_s=duration_s, scale=float(total))
+        for setting, count, total in zip(settings, counts, totals_arr)
+    ]
+
+
+def _projector_stack(settings: Sequence[MeasSetting]) -> np.ndarray:
+    return np.array([s.joint_projector() for s in settings]).reshape(-1, 4, 4)
+
+
+def _probabilities(g: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """tr(g P_k) for every projector of the (K, 4, 4) stack."""
+    return np.real(np.einsum("ij,kji->k", g, projs))
+
+
+def _measurement_model(records: Sequence[CountRecord]):
+    """Projector stack (K, 4, 4), design matrix (K, 16) and counts (K,) of
+    records whose settings are informationally complete."""
+    projs = _projector_stack([r.setting for r in records])
+    design = projs.transpose(0, 2, 1).reshape(-1, 16)
+    if len(design) < 16 or np.linalg.matrix_rank(design) < 16:
+        raise ValueError("settings are not informationally complete")
+    counts = np.array([float(r.count) for r in records])
+    return projs, design, counts
 
 
 def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
@@ -295,18 +319,17 @@ def tomo_linear(records: Sequence[CountRecord]) -> Operator:
 
     Returns a Hermitian, trace-one estimate; positivity is not guaranteed.
     """
-    projs = [r.setting.joint_projector() for r in records]
-    design = np.array([p.T.reshape(-1) for p in projs])
-    if design.shape[0] < 16 or np.linalg.matrix_rank(design) < 16:
-        raise ValueError("settings are not informationally complete")
-    counts = np.array([float(r.count) for r in records])
-    sol, *_ = np.linalg.lstsq(design, counts.astype(complex), rcond=None)
-    chi = sol.reshape(4, 4)
+    _, design, counts = _measurement_model(records)
+    return Operator(_linear_inversion(design, counts))
+
+
+def _linear_inversion(design: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    chi = np.linalg.lstsq(design, counts.astype(complex), rcond=None)[0].reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
     tr = float(np.real(np.trace(chi)))
     if abs(tr) < 1e-12:
         raise ValueError("degenerate counts: zero-trace linear estimate")
-    return Operator(chi / tr)
+    return chi / tr
 
 
 def _physical_projection(hermitian: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -316,23 +339,21 @@ def _physical_projection(hermitian: np.ndarray, floor: float = 1e-6) -> np.ndarr
     return rho / np.real(np.trace(rho))
 
 
-_LOWER_INDICES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+# Parameters: diag(T), then (Re, Im) of each entry below it in row-major order.
+_BELOW_DIAGONAL = np.tril_indices(4, -1)
 
 
 def _t_from_params(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.diag_indices(4)] = t[:4]
-    for k, (i, j) in enumerate(_LOWER_INDICES):
-        m[i, j] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
+    m = np.diag(t[:4].astype(complex))
+    m[_BELOW_DIAGONAL] = t[4::2] + 1j * t[5::2]
     return m
 
 
 def _params_from_t(m: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
+    t = np.empty(16)
     t[:4] = np.real(np.diag(m))
-    for k, (i, j) in enumerate(_LOWER_INDICES):
-        t[4 + 2 * k] = m[i, j].real
-        t[5 + 2 * k] = m[i, j].imag
+    t[4::2] = m[_BELOW_DIAGONAL].real
+    t[5::2] = m[_BELOW_DIAGONAL].imag
     return t
 
 
@@ -348,18 +369,13 @@ def _poisson_objective(t: np.ndarray, projs, counts, scales,
     trg = float(np.real(np.trace(g)))
     if trg <= 0:
         raise FloatingPointError("degenerate Cholesky factor")
-    probs = np.maximum(np.real(np.einsum("ij,kji->k", g, projs)) / trg, p_floor)
+    probs = np.maximum(_probabilities(g, projs) / trg, p_floor)
     mu = scales * probs
     ll = float(np.sum(counts * np.log(mu) - mu))
     w = counts / probs - scales
     omega = np.einsum("k,kij->ij", w, projs)
     g_t = tm @ (omega - float(np.sum(w * probs)) * np.eye(4)) / trg
-    grad = np.zeros(16)
-    grad[:4] = 2.0 * np.real(np.diag(g_t))
-    for k, (i, j) in enumerate(_LOWER_INDICES):
-        grad[4 + 2 * k] = 2.0 * g_t[i, j].real
-        grad[5 + 2 * k] = 2.0 * g_t[i, j].imag
-    return ll, grad
+    return ll, _params_from_t(2.0 * g_t)
 
 
 def tomo_mle(
@@ -376,33 +392,31 @@ def tomo_mle(
     mu_k = N_k <P_k> is maximized with L-BFGS (analytic gradient); the
     Armijo line search makes the likelihood non-decreasing across accepted
     iterations.  Non-convergence is reported through the ``converged`` flag.
-    """
-    projs = np.array([r.setting.joint_projector() for r in records])
-    counts = np.array([float(r.count) for r in records])
-    scales = _record_scales(records)
-    design = np.array([p.T.reshape(-1) for p in projs])
-    if np.linalg.matrix_rank(design) < 16:
-        raise ValueError("settings are not informationally complete")
 
-    def loglik(t):
-        return _poisson_objective(t, projs, counts, scales)[0]
+    ``log_likelihood_history`` holds the log-likelihood at the start point,
+    then the optimizer's value at each iterate; the default start packs the
+    Cholesky factor L of the projected linear estimate, so rho(t0) = L+L / tr.
+    """
+    projs, design, counts = _measurement_model(records)
+    scales = _record_scales(records)
 
     def neg_loglik_and_grad(t):
         ll, grad = _poisson_objective(t, projs, counts, scales)
         return -ll, -grad
 
     if init is None:
-        linear = tomo_linear(records).matrix
+        linear = _linear_inversion(design, counts)
         t0 = _params_from_t(np.linalg.cholesky(_physical_projection(linear)))
     else:
         t0 = np.asarray(init, dtype=float)
         if t0.shape != (16,):
             raise ValueError("init must be a 16-vector of Cholesky parameters")
 
-    history = [loglik(t0)]
+    history = [_poisson_objective(t0, projs, counts, scales)[0]]
 
-    def callback(tk):
-        history.append(loglik(tk))
+    def callback(intermediate_result):
+        # SciPy passes the iterate's OptimizeResult only under this name.
+        history.append(-intermediate_result.fun)
 
     res = optimize.minimize(
         neg_loglik_and_grad,
@@ -522,20 +536,11 @@ def bell_fidelity_from_counts(records: Sequence[CountRecord]) -> tuple[float, fl
     f = 0.25
     var = 0.0
     for pair, sign in ((("H", "V"), 1.0), (("D", "A"), -1.0), (("R", "L"), 1.0)):
-        plus, minus = pair
         try:
-            c_pp = table[(plus, plus)]
-            c_pm = table[(plus, minus)]
-            c_mp = table[(minus, plus)]
-            c_mm = table[(minus, minus)]
+            counts = [table[(x, y)] for x in pair for y in pair]
         except KeyError as exc:
             raise ValueError(f"missing record for setting {exc}") from None
-        total = c_pp + c_pm + c_mp + c_mm
-        if total <= 0:
-            raise ValueError(f"zero total counts in basis {pair}")
-        e = (c_pp + c_mm - c_pm - c_mp) / total
-        signs = np.array([1.0, -1.0, -1.0, 1.0])
-        var_e = float(np.sum(np.array([c_pp, c_pm, c_mp, c_mm]) * (signs - e) ** 2)) / total**2
+        e, var_e = _correlation(counts, f"in basis {pair}")
         f += 0.25 * sign * e
         var += (0.25) ** 2 * var_e
     return f, math.sqrt(var)
@@ -556,14 +561,13 @@ class DelayScanModel:
     wavelength: float = 0.79
 
     def __post_init__(self):
+        for name in ("background", "visibility", "coherence_fwhm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.coherence_fwhm <= 0:
             raise ValueError("coherence FWHM must be positive")
         if self.background <= 0:
             raise ValueError("background count level must be positive")
-
-
-def _envelope(delays: np.ndarray, fwhm: float) -> np.ndarray:
-    return np.exp(-4.0 * math.log(2.0) * (delays / fwhm) ** 2)
 
 
 def delay_scan(model: DelayScanModel, delays) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +577,7 @@ def delay_scan(model: DelayScanModel, delays) -> tuple[np.ndarray, np.ndarray]:
     envelope g of FWHM equal to the coherence length.
     """
     d = np.asarray(delays, dtype=float)
-    g = _envelope(d, model.coherence_fwhm)
+    g = np.exp(-4.0 * math.log(2.0) * (d / model.coherence_fwhm) ** 2)
     c_dd = model.background * (1.0 + model.visibility * g) / 2.0
     c_ddbar = model.background * (1.0 - model.visibility * g) / 2.0
     return c_dd, c_ddbar
@@ -608,11 +612,11 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
     w_ddbar = 1.0 / np.sqrt(np.maximum(ddbar, 1.0))
 
     def residual(params):
+        # The bounds below keep lc and b at or above 1e-6, as the model requires.
         v0, lc, b = params
-        g = _envelope(d, max(lc, 1e-9))
-        r1 = (b * (1.0 + v0 * g) / 2.0 - dd) * w_dd
-        r2 = (b * (1.0 - v0 * g) / 2.0 - ddbar) * w_ddbar
-        return np.concatenate([r1, r2])
+        c_dd, c_ddbar = delay_scan(
+            DelayScanModel(background=b, visibility=v0, coherence_fwhm=lc), d)
+        return np.concatenate([(c_dd - dd) * w_dd, (c_ddbar - ddbar) * w_ddbar])
 
     b0 = float(np.mean(dd + ddbar))
     contrast = (dd - ddbar) / np.maximum(dd + ddbar, 1e-9)
@@ -640,6 +644,7 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
 def transform_limited_fwhm(wavelength: float, bandwidth: float) -> float:
     """Coherence length (FWHM) of a Gaussian spectrum:
     (2 ln2 / pi) lambda^2 / dlambda, same length units in and out."""
-    if wavelength <= 0 or bandwidth <= 0:
-        raise ValueError("wavelength and bandwidth must be positive")
+    if not (math.isfinite(wavelength) and math.isfinite(bandwidth)
+            and wavelength > 0 and bandwidth > 0):
+        raise ValueError("wavelength and bandwidth must be finite and positive")
     return (2.0 * math.log(2.0) / math.pi) * wavelength**2 / bandwidth

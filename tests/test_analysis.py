@@ -76,9 +76,9 @@ def test_chsh_value_dim_check():
         chsh_value(DensityOperator(np.eye(2) / 2))
 
 
-def exact_chsh_records(rho, total_per_pair):
+def exact_chsh_records(rho, total_per_pair, angles=DEFAULT_CHSH_ANGLES):
     records = []
-    for s in chsh_settings():
+    for s in chsh_settings(angles):
         p = float(np.real(np.trace(rho.matrix @ s.joint_projector())))
         records.append(CountRecord(s, total_per_pair * p, scale=total_per_pair))
     return records
@@ -109,6 +109,24 @@ def test_chsh_from_counts_incomplete():
     records = exact_chsh_records(PHI.density(), 1000)[:-1]
     with pytest.raises(ValueError):
         chsh_from_counts(records)
+
+
+@pytest.mark.parametrize("angles", [(0.0, 0.0, -22.5, 22.5), (0.0, 45.0, 22.5, 22.5)])
+def test_chsh_from_counts_repeated_angles(angles):
+    # Each CHSH term keeps its own sign when two analyzer angles coincide.
+    s, _ = chsh_from_counts(exact_chsh_records(PHI.density(), 1e6, angles), angles)
+    assert abs(s - chsh_value(PHI.density(), angles)) < 1e-9
+    assert abs(abs(s) - math.sqrt(2)) < 1e-9
+
+
+def test_chsh_from_counts_ignores_circular_analyzers():
+    records = simulate_counts(DensityOperator(np.eye(4) / 4), stokes_settings(), 1000, seed=8)
+    hv = [r for r in records if {r.setting.analyzer_a, r.setting.analyzer_b} <= {"H", "V"}]
+    c = {(r.setting.analyzer_a, r.setting.analyzer_b): r.count for r in hv}
+    e_hv = (c["H", "H"] + c["V", "V"] - c["H", "V"] - c["V", "H"]) / sum(c.values())
+    s, sd = chsh_from_counts(records, (0.0, 0.0, 0.0, 0.0))
+    assert (s, sd) == chsh_from_counts(hv, (0.0, 0.0, 0.0, 0.0))
+    assert abs(s - 2 * e_hv) < 1e-12
 
 
 def test_chsh_separable_bound(rng):
@@ -173,10 +191,43 @@ def test_simulate_counts_expected_value_oracle(rng):
     assert abs(mean - total * p) < 5 * math.sqrt(total * p / 30)
 
 
+def test_simulate_counts_matches_poisson_oracle(rng):
+    # Oracle: one draw per setting, in order, from the same generator.
+    settings = tomography_settings()
+    totals = rng.uniform(100.0, 5000.0, size=len(settings))
+    for rank in (1, 4):
+        rho = random_density(4, rng, rank=rank)
+        gen = np.random.default_rng(17)
+        expected = []
+        for s, total in zip(settings, totals):
+            p = float(np.real(np.trace(rho.matrix @ s.joint_projector())))
+            expected.append(int(gen.poisson(total * max(p, 0.0))))
+        records = simulate_counts(rho, settings, totals, seed=17)
+        assert [r.count for r in records] == expected
+        assert [r.scale for r in records] == list(totals)
+
+
 def test_simulate_counts_deterministic():
     records1 = simulate_counts(PHI.density(), tomography_settings(), 5000, seed=42)
     records2 = simulate_counts(PHI.density(), tomography_settings(), 5000, seed=42)
     assert [r.count for r in records1] == [r.count for r in records2]
+
+
+@pytest.mark.parametrize("count, scale", [
+    (math.nan, None), (math.inf, None), (10.0, math.nan), (10.0, math.inf),
+    (10.0, 0.0), (10.0, -5.0),
+])
+def test_count_record_rejects_bad_values(count, scale):
+    with pytest.raises(ValueError):
+        CountRecord(MeasSetting("H", "H"), count, scale=scale)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_meas_setting_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError):
+        MeasSetting(angle, 0.0)
+    with pytest.raises(ValueError):
+        MeasSetting("H", angle)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +309,48 @@ def test_tomo_mle_monotone_likelihood(rng):
     assert np.all(np.diff(hist) >= -1e-9)
     # Final likelihood at least that of the physically projected linear start.
     assert hist[-1] >= hist[0] - 1e-9
+
+
+def test_cholesky_parameter_layout():
+    # diag(T), then (Re, Im) of the entries below it in row-major order.
+    from dfslink.analysis import _t_from_params
+
+    t = _t_from_params(np.arange(16.0))
+    np.testing.assert_array_equal(np.diag(t), [0, 1, 2, 3])
+    np.testing.assert_array_equal(
+        t[np.tril_indices(4, -1)], [4 + 5j, 6 + 7j, 8 + 9j, 10 + 11j, 12 + 13j, 14 + 15j])
+    np.testing.assert_array_equal(t[np.triu_indices(4, 1)], 0)
+
+
+@pytest.mark.parametrize("max_iterations", [10_000, 3])
+def test_tomo_mle_history_has_one_value_per_iterate(rng, max_iterations):
+    rho = random_density(4, rng, rank=2)
+    records = simulate_counts(rho, tomography_settings(), 800, seed=12)
+    result = tomo_mle(records, max_iterations=max_iterations)
+    assert len(result.log_likelihood_history) == result.iterations + 1
+    assert result.log_likelihood == result.log_likelihood_history[-1]
+
+
+def test_tomo_mle_log_likelihood_of_estimate(rng):
+    # Oracle: the Poisson log-likelihood of rho_hat, evaluated setting by setting.
+    rho = random_density(4, rng)
+    records = simulate_counts(rho, tomography_settings(), 2000, seed=13)
+    result = tomo_mle(records)
+    direct = 0.0
+    for r in records:
+        p = float(np.real(np.trace(result.rho_hat.matrix @ r.setting.joint_projector())))
+        mu = r.scale * p
+        direct += r.count * math.log(mu) - mu
+    assert abs(result.log_likelihood - direct) <= 1e-9 * abs(direct)
+
+
+@pytest.mark.parametrize("fit", [
+    tomo_linear, tomo_mle, lambda recs: tomo_mle(recs, init=np.r_[np.ones(4), np.zeros(12)]),
+])
+def test_tomography_rejects_incomplete_settings(fit):
+    records = exact_records(PHI.density())
+    with pytest.raises(ValueError, match="informationally complete"):
+        fit(records[:15])
 
 
 def test_tomo_mle_iteration_cap_reports_nonconvergence(rng):
@@ -415,6 +508,22 @@ def test_transform_limit_value():
     # 790 nm centre, 2.7 nm bandwidth -> about 102 um.
     lc = transform_limited_fwhm(0.79, 0.0027)
     assert abs(lc - 102.0) < 1.0
+
+
+@pytest.mark.parametrize("field", ["background", "visibility", "coherence_fwhm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_delay_scan_model_rejects_non_finite(field, value):
+    params = {"background": 400.0, "visibility": 0.85, "coherence_fwhm": 130.0}
+    params[field] = value
+    with pytest.raises(ValueError):
+        DelayScanModel(**params)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 0.0027), (math.inf, 0.0027),
+                                  (0.79, math.nan), (0.79, math.inf)])
+def test_transform_limit_rejects_non_finite(args):
+    with pytest.raises(ValueError):
+        transform_limited_fwhm(*args)
 
 
 def test_gaussian_fit_requires_points():
