@@ -31,6 +31,7 @@ from .qmath import (
     Operator,
     StateVector,
     eig_hermitian,
+    kron,
     projector,
 )
 
@@ -112,7 +113,7 @@ class MeasSetting:
         return projector(_analyzer_ket(self.analyzer_b))
 
     def joint_projector(self) -> np.ndarray:
-        return np.kron(self.projector_a(), self.projector_b())
+        return kron(self.projector_a(), self.projector_b())
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +163,7 @@ def chsh_value(rho, settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> float:
     a, ap, b, bp = settings
 
     def corr(ta, tb):
-        obs = np.kron(_pauli_observable(ta), _pauli_observable(tb))
+        obs = kron(_pauli_observable(ta), _pauli_observable(tb))
         return float(np.real(np.trace(mat @ obs)))
 
     return corr(a, b) - corr(a, bp) + corr(ap, b) + corr(ap, bp)
@@ -207,6 +208,17 @@ def _correlation(counts: Sequence[float], where: str) -> tuple[float, float]:
     return e, float(np.sum(np.array(counts) * (signs - e) ** 2)) / total**2
 
 
+def _count_table(records: Sequence[CountRecord], key) -> dict:
+    """Total count per ``key(setting)``, summed over repeated records; a key
+    holding None drops its records."""
+    table = {}
+    for rec in records:
+        k = key(rec.setting)
+        if None not in k:
+            table[k] = table.get(k, 0.0) + float(rec.count)
+    return table
+
+
 def chsh_from_counts(
     records: Sequence[CountRecord],
     settings: Sequence[float] = DEFAULT_CHSH_ANGLES,
@@ -217,11 +229,8 @@ def chsh_from_counts(
     error bar propagates Poisson variances through the ratio.  Records with a
     circular analyzer (L or R) are ignored.
     """
-    table = {}
-    for rec in records:
-        key = (_angle_key(rec.setting.analyzer_a), _angle_key(rec.setting.analyzer_b))
-        if None not in key:
-            table[key] = table.get(key, 0.0) + float(rec.count)
+    table = _count_table(records, lambda st: (_angle_key(st.analyzer_a),
+                                              _angle_key(st.analyzer_b)))
     a, ap, b, bp = settings
     s_total = 0.0
     var_total = 0.0
@@ -458,7 +467,7 @@ def concurrence(rho: DensityOperator) -> float:
     """
     if rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit state")
-    yy = np.kron(PAULI_Y, PAULI_Y)
+    yy = kron(PAULI_Y, PAULI_Y)
     vals, vecs = eig_hermitian(rho.matrix)
     keep = vals > 1e-14 * vals[0]
     if not keep.any():
@@ -528,11 +537,9 @@ def bell_fidelity_from_counts(records: Sequence[CountRecord]) -> tuple[float, fl
 
     Uses F = (1 + <ZZ> - <XX> + <YY>) / 4 with each correlation estimated
     from its complete 4-outcome basis; the error bar propagates Poisson
-    variances.
+    variances.  Repeated records of one setting are summed.
     """
-    table = {}
-    for r in records:
-        table[(r.setting.analyzer_a, r.setting.analyzer_b)] = float(r.count)
+    table = _count_table(records, lambda st: (st.analyzer_a, st.analyzer_b))
     f = 0.25
     var = 0.0
     for pair, sign in ((("H", "V"), 1.0), (("D", "A"), -1.0), (("R", "L"), 1.0)):

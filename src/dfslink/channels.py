@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .qmath import ATOL_STRICT, DensityOperator
+from .qmath import ATOL_STRICT, DensityOperator, kron
 
 __all__ = [
     "DephasingSpec",
@@ -32,6 +32,8 @@ __all__ = [
 
 # Columns are the circular basis states L, R expressed in H/V.
 CIRCULAR_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)
+
+_IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +209,7 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     w = np.array([[1.0]], dtype=complex)
     binv = spec.basis.conj().T
     for q in range(n):
-        w = np.kron(w, binv if q in ordered else np.eye(2, dtype=complex))
+        w = kron(w, binv if q in ordered else _IDENTITY_2)
     k_all = _basis_one_counts(n, ordered)
     k_first = _basis_one_counts(n, ordered[:1])
     damping = spec.characteristic(k_all[:, None] - k_all[None, :],

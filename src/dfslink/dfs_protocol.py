@@ -95,43 +95,24 @@ class ProtocolOutcome:
             raise ValueError("success probability does not match kept branches")
 
 
+_ANCILLA = prepare_ancilla().density()
+
+
 def encode_append(inp: ProtocolInput) -> DensityOperator:
     """Append the ancilla: state (spectators..., S) -> (spectators..., S, S')."""
-    return tensor(inp.state, prepare_ancilla().density())
-
-
-def _sift_isometry(n: int, s_index: int, sprime_index: int) -> np.ndarray:
-    """Map span{|H_s V_s'>, |V_s H_s'>} onto one logical qubit.
-
-    The logical qubit sits at S's position with S' removed; kets outside the
-    protected subspace are annihilated.  Relabeling |HV> -> |H>, |VH> -> |V>
-    absorbs the receiver's 90 degree rotation of the long-arm photon.
-    """
-    dim_in = 2**n
-    dim_out = 2 ** (n - 1)
-    iso = np.zeros((dim_out, dim_in), dtype=complex)
-    for i in range(dim_in):
-        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
-        bs, bp = bits[s_index], bits[sprime_index]
-        if (bs, bp) not in ((0, 1), (1, 0)):
-            continue
-        out_bits = list(bits)
-        out_bits[s_index] = bs  # logical 0 -> H, logical 1 -> V
-        del out_bits[sprime_index]
-        j = 0
-        for b in out_bits:
-            j = (j << 1) | b
-        iso[j, i] = 1.0
-    return iso
+    return tensor(inp.state, _ANCILLA)
 
 
 def qpg_sift(
     rho: DensityOperator, s_index: int, sprime_index: int
 ) -> tuple[DensityOperator, float]:
-    """Parity-gate sift onto the protected subspace.
+    """Parity-gate sift onto the protected subspace span{|H_s V_s'>, |V_s H_s'>}.
 
     Returns the sub-normalized conditional state (one qubit fewer, logical
-    qubit at S's slot) and the sift probability.
+    qubit at S's slot, S' removed) and the sift probability.  Relabeling
+    |HV> -> |H>, |VH> -> |V> absorbs the receiver's 90 degree rotation of the
+    long-arm photon, so each output ket j is the input ket with S's bit of j
+    and the opposite bit inserted at S'.
     """
     n = rho.num_qubits
     if s_index == sprime_index:
@@ -139,8 +120,12 @@ def qpg_sift(
     for ix in (s_index, sprime_index):
         if ix < 0 or ix >= n:
             raise ValueError(f"qubit index {ix} out of range for {n} qubits")
-    iso = _sift_isometry(n, s_index, sprime_index)
-    cond = iso @ rho.matrix @ iso.conj().T
+    j = np.arange(2 ** (n - 1))
+    s_out = s_index - (sprime_index < s_index)
+    bit_s = (j >> (n - 2 - s_out)) & 1
+    low = n - 1 - sprime_index  # output bits below S'
+    keep = ((j >> low) << (low + 1)) | ((1 - bit_s) << low) | (j & ((1 << low) - 1))
+    cond = rho.matrix[keep[:, None], keep]
     cond = 0.5 * (cond + cond.conj().T)
     out = DensityOperator(cond)
     return out, out.norm

@@ -21,6 +21,7 @@ __all__ = [
     "StateVector",
     "DensityOperator",
     "Operator",
+    "kron",
     "tensor",
     "partial_trace",
     "apply_kraus",
@@ -50,6 +51,25 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _num_qubits(dim: int) -> int:
+    if dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return dim.bit_length() - 1
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 1-D or two 2-D arrays, a's indices most
+    significant.
+
+    One broadcast multiply, the same one NumPy's ``kron`` runs after its
+    general-rank set-up, so every entry is the identical product.
+    """
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state over a finite-dimensional Hilbert space.
@@ -76,10 +96,7 @@ class StateVector:
 
     @property
     def num_qubits(self) -> int:
-        n = int(round(np.log2(self.dim)))
-        if 2**n != self.dim:
-            raise ValueError(f"dimension {self.dim} is not a power of two")
-        return n
+        return _num_qubits(self.dim)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -115,11 +132,13 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if m.shape[0] == 0:
+            raise ValueError("density matrix must not be empty")
+        if not np.isfinite(m).all():
             raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T), initial=0.0) >= ATOL_STRICT:
+        if np.abs(m - m.conj().T).max() >= ATOL_STRICT:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m)
+        tr = m.trace()
         if abs(tr.imag) >= ATOL_STRICT:
             raise ValueError("density matrix trace is not real")
         if tr.real < -ATOL_STRICT or tr.real > 1.0 + 1e-9:
@@ -137,10 +156,7 @@ class DensityOperator:
 
     @property
     def num_qubits(self) -> int:
-        n = int(round(np.log2(self.dim)))
-        if 2**n != self.dim:
-            raise ValueError(f"dimension {self.dim} is not a power of two")
-        return n
+        return _num_qubits(self.dim)
 
     def normalized(self) -> "DensityOperator":
         if self.norm <= 0.0:
@@ -191,11 +207,11 @@ def _matrix_of(x) -> np.ndarray:
 def tensor(a: KindType, b: KindType) -> KindType:
     """Kronecker product of two like objects, a's indices most significant."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
+        return StateVector(kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix))
+        return DensityOperator(kron(a.matrix, b.matrix))
     if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.matrix, b.matrix),
+        return Operator(kron(a.matrix, b.matrix),
                         is_unitary=a.is_unitary and b.is_unitary)
     raise TypeError(
         f"tensor requires two objects of the same kind, got "

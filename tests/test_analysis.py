@@ -129,6 +129,18 @@ def test_chsh_from_counts_ignores_circular_analyzers():
     assert abs(s - 2 * e_hv) < 1e-12
 
 
+def test_repeated_records_are_summed():
+    # Every record twice: same estimates, error bars smaller by sqrt(2).
+    state = werner(0.8)
+    for estimator, settings in ((chsh_from_counts, chsh_settings()),
+                                (bell_fidelity_from_counts, stokes_settings())):
+        records = simulate_counts(state, settings, 1000, seed=5)
+        value, sd = estimator(records)
+        value2, sd2 = estimator(records + records)
+        assert value2 == value
+        assert abs(sd2 - sd / math.sqrt(2)) < 1e-12 * sd
+
+
 def test_chsh_separable_bound(rng):
     # Random separable states: mixtures of product states stay below 2.
     for _ in range(1000):

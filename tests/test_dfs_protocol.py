@@ -103,6 +103,37 @@ def test_qpg_sift_maximally_mixed():
     np.testing.assert_allclose(cond.normalized().matrix, np.eye(2) / 2, atol=1e-12)
 
 
+def sift_isometry_oracle(n, s_index, sprime_index):
+    # Bit-by-bit construction: input ket i survives when (b_s, b_s') is
+    # (0, 1) or (1, 0), and maps to the ket with b_s' deleted.
+    iso = np.zeros((2 ** (n - 1), 2**n), dtype=complex)
+    for i in range(2**n):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        if (bits[s_index], bits[sprime_index]) not in ((0, 1), (1, 0)):
+            continue
+        del bits[sprime_index]
+        j = 0
+        for b in bits:
+            j = (j << 1) | b
+        iso[j, i] = 1.0
+    return iso
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_qpg_sift_matches_isometry_oracle_for_every_ordered_pair(n, rng):
+    # s' < s as well as s < s': the kept kets must come out in output order.
+    rho = random_density(2**n, rng)
+    for s in range(n):
+        for sprime in range(n):
+            if s == sprime:
+                continue
+            iso = sift_isometry_oracle(n, s, sprime)
+            expected = iso @ rho.matrix @ iso.conj().T
+            cond, prob = qpg_sift(rho, s, sprime)
+            np.testing.assert_allclose(cond.matrix, expected, rtol=0, atol=1e-15)
+            assert abs(prob - np.trace(expected).real) < 1e-15
+
+
 def test_qpg_sift_bad_indices():
     rho = DensityOperator(np.eye(4) / 4)
     with pytest.raises(ValueError):

@@ -2,18 +2,20 @@
 
 The link's Choi matrix is read off the public pipeline: distributing |Phi+>
 of (reference, S) with the Dbar branch kept returns J / (2 p_success).  The
-MLE's Cholesky parameter packing is checked as a round trip.
+MLE's Cholesky parameter packing is checked as a round trip, and the
+Kronecker helper against NumPy's ``kron``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
 from dfslink.analysis import _params_from_t, _t_from_params
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec
 from dfslink.dfs_protocol import ProtocolInput, distribute
-from dfslink.qmath import StateVector
+from dfslink.qmath import StateVector, kron
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 PHI_PLUS = StateVector([1.0, 0.0, 0.0, 1.0]).normalize().density()
@@ -73,3 +75,18 @@ def test_collective_noise_output_is_state_independent(spec, n, seed, keep):
 def test_cholesky_packing_round_trip(values):
     t = np.array(values)
     assert np.array_equal(_params_from_t(_t_from_params(t)), t)
+
+
+entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 2))
+def test_kron_matches_numpy(data, ndim):
+    shapes = array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=4)
+    a = data.draw(arrays(complex, shapes, elements=entries))
+    b = data.draw(arrays(complex, shapes, elements=entries))
+    out = kron(a, b)
+    expected = np.kron(a, b)
+    assert out.shape == expected.shape
+    assert np.array_equal(out, expected)

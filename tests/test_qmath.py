@@ -201,6 +201,39 @@ def test_density_operator_rejects_non_finite(dim, bad):
         DensityOperator(np.full((dim, dim), bad, dtype=complex))
 
 
+@pytest.mark.parametrize("matrix, match", [
+    (np.zeros((2, 3)), "square"),
+    (np.zeros((0, 0)), "empty"),
+    (np.array([[0.5, 0.1], [0.2, 0.5]]), "Hermitian"),
+    (np.eye(8) / 8 + 0.4e-12j * np.eye(8), "trace is not real"),
+    (0.6 * np.eye(2), r"outside \[0, 1\]"),
+    (-0.1 * np.eye(2), r"outside \[0, 1\]"),
+    (np.array([[1.5, 0.0], [0.0, -0.5]]), "not PSD"),
+])
+def test_density_operator_rejection_messages(matrix, match):
+    with pytest.raises(ValueError, match=match):
+        DensityOperator(matrix)
+
+
+def test_density_operator_trace_tolerance():
+    assert DensityOperator((1.0 + 5e-10) * np.eye(2) / 2).norm > 1.0
+    assert DensityOperator(np.zeros((1, 1))).norm == 0.0
+
+
+@pytest.mark.parametrize("dim", [3, 6, 12])
+def test_num_qubits_rejects_non_power_of_two(dim):
+    with pytest.raises(ValueError, match="power of two"):
+        DensityOperator(np.eye(dim) / dim).num_qubits
+    with pytest.raises(ValueError, match="power of two"):
+        StateVector(np.ones(dim)).num_qubits
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_num_qubits_of_powers_of_two(n):
+    assert DensityOperator(np.eye(2**n) / 2**n).num_qubits == n
+    assert StateVector(np.ones(2**n)).num_qubits == n
+
+
 def test_unitary_flag_validated():
     with pytest.raises(ValueError):
         Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), is_unitary=True)
