@@ -75,6 +75,10 @@ _NAMED_ANALYZERS = {
 
 Analyzer = Union[str, float]
 
+# The three complete correlation bases of the Bell-fidelity estimate, each as
+# its (+, -) analyzers: the ZZ, XX and YY products.
+_STOKES_BASES = (("H", "V"), ("D", "A"), ("R", "L"))
+
 
 def _analyzer_ket(a: Analyzer) -> StateVector:
     if isinstance(a, str):
@@ -93,7 +97,6 @@ class MeasSetting:
 
     analyzer_a: Analyzer
     analyzer_b: Analyzer
-    label: str = ""
 
     def __post_init__(self):
         for name in ("analyzer_a", "analyzer_b"):
@@ -104,16 +107,11 @@ class MeasSetting:
             elif not math.isfinite(a):
                 raise ValueError(f"analyzer angle must be finite, got {a!r}")
             else:
-                object.__setattr__(self, name, round(float(a) % 180.0, 9))
-
-    def projector_a(self) -> np.ndarray:
-        return projector(_analyzer_ket(self.analyzer_a))
-
-    def projector_b(self) -> np.ndarray:
-        return projector(_analyzer_ket(self.analyzer_b))
+                object.__setattr__(self, name, round(float(a) % 180.0, 9) % 180.0)
 
     def joint_projector(self) -> np.ndarray:
-        return kron(self.projector_a(), self.projector_b())
+        return kron(projector(_analyzer_ket(self.analyzer_a)),
+                    projector(_analyzer_ket(self.analyzer_b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +125,6 @@ class CountRecord:
 
     setting: MeasSetting
     count: float
-    duration_s: float = 1.0
     scale: Optional[float] = None
 
     def __post_init__(self):
@@ -151,6 +148,15 @@ def _pauli_observable(theta_deg: float) -> np.ndarray:
     return math.cos(2 * t) * PAULI_Z + math.sin(2 * t) * PAULI_X
 
 
+def _chsh_terms(settings: Sequence[float]) -> list:
+    """(sign, analyzer pairs) of each term of S = E(a,b) - E(a,b') + E(a',b)
+    + E(a',b') for the angles (a, a', b, b'); a term's pairs are
+    {a, a+90} x {b, b+90} in the order ++, +-, -+, --."""
+    a, ap, b, bp = settings
+    return [(sign, [(ta + da, tb + db) for da in (0.0, 90.0) for db in (0.0, 90.0)])
+            for sign, ta, tb in ((1.0, a, b), (-1.0, a, bp), (1.0, ap, b), (1.0, ap, bp))]
+
+
 def chsh_value(rho, settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> float:
     """Bell parameter S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
@@ -160,63 +166,63 @@ def chsh_value(rho, settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> float:
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
     if mat.shape != (4, 4):
         raise ValueError("chsh_value requires a two-qubit state")
-    a, ap, b, bp = settings
 
     def corr(ta, tb):
         obs = kron(_pauli_observable(ta), _pauli_observable(tb))
         return float(np.real(np.trace(mat @ obs)))
 
-    return corr(a, b) - corr(a, bp) + corr(ap, b) + corr(ap, bp)
+    return sum(sign * corr(*pairs[0]) for sign, pairs in _chsh_terms(settings))
 
 
 def chsh_settings(settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> list[MeasSetting]:
     """The 16 analyzer pairs {a, a+90} x {b, b+90} for the four CHSH terms."""
-    a, ap, b, bp = settings
-    out = []
-    for ta in (a, ap):
-        for tb in (b, bp):
-            for da in (0.0, 90.0):
-                for db in (0.0, 90.0):
-                    out.append(
-                        MeasSetting(
-                            ta + da,
-                            tb + db,
-                            label=f"chsh({ta:+.1f}{'+' if da else ''},"
-                                  f"{tb:+.1f}{'+' if db else ''})",
-                        )
-                    )
-    return out
+    return [MeasSetting(x, y) for _, pairs in _chsh_terms(settings) for x, y in pairs]
 
 
-def _angle_key(a: Analyzer) -> Optional[float]:
-    """Linear-analyzer angle mod 180 degrees, rounded alike for records and
-    lookups; None for the circular analyzers L and R."""
+def _angle_key(a: Analyzer) -> Analyzer:
+    """The one identity of an analyzer: a linear analyzer (H/V/D/A or an
+    angle) is its angle mod 180 degrees, rounded alike for records and
+    lookups; the circular analyzers L and R keep their names.  The second
+    mod sends angles that round up to 180 back to 0."""
     if isinstance(a, str):
-        return {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}.get(a)
-    return round(float(a) % 180.0, 6)
+        return {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}.get(a, a)
+    return round(float(a) % 180.0, 6) % 180.0
 
 
-def _correlation(counts: Sequence[float], where: str) -> tuple[float, float]:
-    """E = (C++ + C-- - C+- - C-+) / sum(C) from the counts (C++, C+-, C-+,
-    C--) of one complete basis, and its Poisson variance."""
-    c_pp, c_pm, c_mp, c_mm = counts
-    total = c_pp + c_pm + c_mp + c_mm
-    if total <= 0:
-        raise ValueError(f"zero total counts {where}")
-    e = (c_pp + c_mm - c_pm - c_mp) / total
-    signs = np.array([1.0, -1.0, -1.0, 1.0])
-    return e, float(np.sum(np.array(counts) * (signs - e) ** 2)) / total**2
-
-
-def _count_table(records: Sequence[CountRecord], key) -> dict:
-    """Total count per ``key(setting)``, summed over repeated records; a key
-    holding None drops its records."""
+def _count_table(records: Sequence[CountRecord]) -> dict:
+    """Total count per analyzer-key pair, summed over repeated records."""
     table = {}
     for rec in records:
-        k = key(rec.setting)
-        if None not in k:
-            table[k] = table.get(k, 0.0) + float(rec.count)
+        k = (_angle_key(rec.setting.analyzer_a), _angle_key(rec.setting.analyzer_b))
+        table[k] = table.get(k, 0.0) + float(rec.count)
     return table
+
+
+def _correlation_estimate(table: dict, terms, offset: float = 0.0) -> tuple[float, float]:
+    """offset + sum_t w_t E_t and its Poisson standard deviation.
+
+    Each term is (w_t, analyzers) with ``analyzers`` the ((a+, b+), (a+, b-),
+    (a-, b+), (a-, b-)) pairs of one complete basis, and
+    E = (C++ + C-- - C+- - C-+) / sum(C).  The variance is g^T diag(C) g,
+    where each count's gradient g sums over every term that uses it, so
+    terms sharing counts get their covariance.
+    """
+    value = offset
+    grad = {}
+    for weight, analyzers in terms:
+        keys = [(_angle_key(x), _angle_key(y)) for x, y in analyzers]
+        try:
+            c_pp, c_pm, c_mp, c_mm = (table[k] for k in keys)
+        except KeyError as exc:
+            raise ValueError(f"missing counts for analyzer pair {exc}") from None
+        total = c_pp + c_pm + c_mp + c_mm
+        if total <= 0:
+            raise ValueError(f"zero total counts for analyzer pairs {analyzers}")
+        e = (c_pp + c_mm - c_pm - c_mp) / total
+        value += weight * e
+        for k, sign in zip(keys, (1.0, -1.0, -1.0, 1.0)):
+            grad[k] = grad.get(k, 0.0) + weight * (sign - e) / total
+    return value, math.sqrt(sum(table[k] * g**2 for k, g in grad.items()))
 
 
 def chsh_from_counts(
@@ -226,42 +232,24 @@ def chsh_from_counts(
     """Estimate S and its standard deviation from 16 coincidence counts.
 
     Per CHSH term, E = (C(a,b) + C(a+,b+) - C(a,b+) - C(a+,b)) / sum(C); the
-    error bar propagates Poisson variances through the ratio.  Records with a
-    circular analyzer (L or R) are ignored.
+    error bar propagates Poisson variances through S, counts shared by
+    repeated angles included.  Records with a circular analyzer (L or R)
+    are ignored.
     """
-    table = _count_table(records, lambda st: (_angle_key(st.analyzer_a),
-                                              _angle_key(st.analyzer_b)))
-    a, ap, b, bp = settings
-    s_total = 0.0
-    var_total = 0.0
-    for sign, ta, tb in ((1.0, a, b), (-1.0, a, bp), (1.0, ap, b), (1.0, ap, bp)):
-        try:
-            counts = [table[(_angle_key(ta + da), _angle_key(tb + db))]
-                      for da in (0.0, 90.0) for db in (0.0, 90.0)]
-        except KeyError as exc:
-            raise ValueError(f"missing counts for analyzer pair {exc}") from None
-        e, var_e = _correlation(counts, f"for setting pair ({ta}, {tb})")
-        s_total += sign * e
-        var_total += var_e
-    return s_total, math.sqrt(var_total)
+    return _correlation_estimate(_count_table(records), _chsh_terms(settings))
 
 
 def tomography_settings() -> list[MeasSetting]:
     """Product analyzer set {H, V, D, R} x {H, V, D, R}: 16 settings,
     informationally complete for two qubits."""
     names = ("H", "V", "D", "R")
-    return [MeasSetting(a, b, label=f"{a}{b}") for a in names for b in names]
+    return [MeasSetting(a, b) for a in names for b in names]
 
 
 def stokes_settings() -> list[MeasSetting]:
     """Three complete correlation bases (HV, DA, RL products): 12 settings,
     enough for a direct Bell-state fidelity estimate."""
-    out = []
-    for pair in (("H", "V"), ("D", "A"), ("R", "L")):
-        for a in pair:
-            for b in pair:
-                out.append(MeasSetting(a, b, label=f"{a}{b}"))
-    return out
+    return [MeasSetting(a, b) for basis in _STOKES_BASES for a in basis for b in basis]
 
 
 def simulate_counts(
@@ -269,7 +257,6 @@ def simulate_counts(
     settings: Sequence[MeasSetting],
     totals: Union[float, Sequence[float]],
     seed: int,
-    duration_s: float = 1.0,
 ) -> list[CountRecord]:
     """Poisson coincidence counts with mean total * <projector>.
 
@@ -282,7 +269,7 @@ def simulate_counts(
     probs = np.clip(_probabilities(rho.matrix, _projector_stack(settings)), 0.0, 1.0)
     counts = np.random.default_rng(seed).poisson(totals_arr * probs)
     return [
-        CountRecord(setting, int(count), duration_s=duration_s, scale=float(total))
+        CountRecord(setting, int(count), scale=float(total))
         for setting, count, total in zip(settings, counts, totals_arr)
     ]
 
@@ -312,10 +299,10 @@ def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
     if not np.any(np.isnan(scales)):
         return scales
     # Fall back to the complete H/V basis subset for the overall rate.
-    total = 0.0
-    for r in records:
-        if {r.setting.analyzer_a, r.setting.analyzer_b} <= {"H", "V"}:
-            total += float(r.count)
+    hv = (_angle_key("H"), _angle_key("V"))
+    total = sum(float(r.count) for r in records
+                if _angle_key(r.setting.analyzer_a) in hv
+                and _angle_key(r.setting.analyzer_b) in hv)
     if total <= 0:
         raise ValueError(
             "records carry no scale and no complete H/V subset to estimate it"
@@ -390,7 +377,6 @@ def _poisson_objective(t: np.ndarray, projs, counts, scales,
 def tomo_mle(
     records: Sequence[CountRecord],
     init: Optional[np.ndarray] = None,
-    improvement_tol: float = 1e-9,
     max_iterations: int = 10_000,
 ) -> TomographyResult:
     """Maximum-likelihood state reconstruction.
@@ -442,7 +428,7 @@ def tomo_mle(
     improvements = np.diff(history)
     converged = bool(
         res.nit < max_iterations
-        and (len(improvements) == 0 or abs(improvements[-1]) < improvement_tol
+        and (len(improvements) == 0 or abs(improvements[-1]) < 1e-9
              or res.success)
     )
     if not converged:
@@ -512,7 +498,6 @@ def monte_carlo_sd(
             CountRecord(
                 r.setting,
                 int(rng.poisson(float(r.count))),
-                duration_s=r.duration_s,
                 scale=r.scale,
             )
             for r in records
@@ -539,18 +524,9 @@ def bell_fidelity_from_counts(records: Sequence[CountRecord]) -> tuple[float, fl
     from its complete 4-outcome basis; the error bar propagates Poisson
     variances.  Repeated records of one setting are summed.
     """
-    table = _count_table(records, lambda st: (st.analyzer_a, st.analyzer_b))
-    f = 0.25
-    var = 0.0
-    for pair, sign in ((("H", "V"), 1.0), (("D", "A"), -1.0), (("R", "L"), 1.0)):
-        try:
-            counts = [table[(x, y)] for x in pair for y in pair]
-        except KeyError as exc:
-            raise ValueError(f"missing record for setting {exc}") from None
-        e, var_e = _correlation(counts, f"in basis {pair}")
-        f += 0.25 * sign * e
-        var += (0.25) ** 2 * var_e
-    return f, math.sqrt(var)
+    terms = [(0.25 * sign, [(x, y) for x in basis for y in basis])
+             for sign, basis in zip((1.0, -1.0, 1.0), _STOKES_BASES)]
+    return _correlation_estimate(_count_table(records), terms, offset=0.25)
 
 
 @dataclass(frozen=True)
@@ -558,14 +534,12 @@ class DelayScanModel:
     """Complementary-basis coincidence model against path delay.
 
     ``coherence_fwhm`` is the FWHM of the Gaussian interference envelope in
-    the same units as the delays (micrometres by convention);
-    ``wavelength`` is kept for the coherence-length-to-wavelength ratio.
+    the same units as the delays (micrometres by convention).
     """
 
     background: float
     visibility: float
     coherence_fwhm: float
-    wavelength: float = 0.79
 
     def __post_init__(self):
         for name in ("background", "visibility", "coherence_fwhm"):

@@ -1,4 +1,4 @@
-"""Qubit-layer dephasing channels for the fibre transmission.
+"""Dephasing channels for the fibre transmission.
 
 A polarization-maintaining fibre transmits the two basis polarizations
 faithfully but scrambles their relative phase.  Photons sent through it
@@ -14,7 +14,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .qmath import ATOL_STRICT, DensityOperator, kron
 
 __all__ = [
     "DephasingSpec",
-    "ChannelPhotonSet",
     "collective_dephase",
     "correlated_dephase",
     "rotate_basis",
@@ -99,36 +98,28 @@ class DephasingSpec:
         return common * np.exp(-0.5 * (self.delta_sigma * np.asarray(m_jitter)) ** 2)
 
 
-@dataclass(frozen=True)
-class ChannelPhotonSet:
-    """Indices of the qubits that physically traverse the channel."""
-
-    indices: frozenset
-
-    def __init__(self, indices: Iterable[int]):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in indices))
-
-
-def _photon_indices(photons, n: int) -> list[int]:
-    if isinstance(photons, ChannelPhotonSet):
-        idx = sorted(photons.indices)
-    else:
-        idx = sorted(set(int(i) for i in photons))
+def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
+    """The channel photons as a list of distinct qubit indices, in the order
+    given: jitter rides on the first one, so a set cannot carry it."""
+    if jittered and isinstance(photons, (set, frozenset)) and len(photons) > 1:
+        raise ValueError("jitter rides on the first photon listed: "
+                         "pass an ordered sequence, not a set")
+    idx = [int(i) for i in photons]
     if not idx:
         raise ValueError("channel photon set is empty")
-    if idx[0] < 0 or idx[-1] >= n:
+    if len(set(idx)) < len(idx):
+        raise ValueError("channel photons must be distinct")
+    if min(idx) < 0 or max(idx) >= n:
         raise ValueError(f"photon indices {idx} out of range for {n} qubits")
     return idx
 
 
-def _basis_one_counts(n: int, channel: Sequence[int]) -> np.ndarray:
-    """Number of channel qubits in basis state 1 for every basis ket."""
-    dim = 2**n
-    counts = np.zeros(dim, dtype=int)
-    for q in channel:
-        bit = (np.arange(dim) >> (n - 1 - q)) & 1
-        counts += bit
-    return counts
+def _excitation_difference(n: int, photons: Sequence[int]) -> np.ndarray:
+    """m[i, j]: the number of ``photons`` in basis state 1 in ket i minus
+    that in ket j."""
+    shifts = n - 1 - np.asarray(photons)
+    k = ((np.arange(2**n)[:, None] >> shifts) & 1).sum(axis=1)
+    return k[:, None] - k[None, :]
 
 
 def apply_phase_damping(
@@ -143,9 +134,7 @@ def apply_phase_damping(
     complex multipliers elementwise.
     """
     n = rho.num_qubits
-    idx = _photon_indices(photons, n)
-    k = _basis_one_counts(n, idx)
-    diff = k[:, None] - k[None, :]
+    diff = _excitation_difference(n, _channel_photons(photons, n))
     return DensityOperator(rho.matrix * damping(diff))
 
 
@@ -170,23 +159,15 @@ def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> De
     common phase, the first sees it plus a zero-mean gaussian offset of
     spread ``delta_sigma``.  Each off-diagonal picks up
     E[exp(i(m_s phi_s + m_s' phi_s'))], which factorizes into the common
-    characteristic function at m_s + m_s' and a gaussian damping at m_s.
+    characteristic function at m_s + m_s' and a gaussian damping at m_s:
+    :func:`rotate_basis` in the H/V basis.
     """
     if not spec.is_computational():
         raise ValueError("non-computational dephasing basis: route through rotate_basis")
-    try:
-        s, sprime = (int(p) for p in photons)
-    except (TypeError, ValueError):
+    pair = _channel_photons(photons, rho.num_qubits, spec.delta_sigma != 0.0)
+    if len(pair) != 2:
         raise ValueError("correlated_dephase requires exactly two channel photons")
-    if s == sprime:
-        raise ValueError("channel photons must be distinct")
-    n = rho.num_qubits
-    _photon_indices((s, sprime), n)
-    ks = _basis_one_counts(n, [s])
-    kp = _basis_one_counts(n, [sprime])
-    ds = ks[:, None] - ks[None, :]
-    dp = kp[:, None] - kp[None, :]
-    return DensityOperator(rho.matrix * spec.characteristic(ds + dp, ds))
+    return rotate_basis(spec, rho, pair)
 
 
 def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityOperator:
@@ -195,24 +176,18 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     The general channel kernel: conjugates the channel photons into the spec
     basis, multiplies every matrix element by
     ``spec.characteristic(m_all, m_first)`` and conjugates back.  The jitter
-    rides on the first photon listed (the smallest index of a
-    :class:`ChannelPhotonSet`), so jitter needs one or two photons.
+    rides on the first photon listed, so jitter needs one photon or an
+    ordered pair.
     """
     n = rho.num_qubits
-    if isinstance(photons, ChannelPhotonSet):
-        ordered = sorted(photons.indices)
-    else:
-        ordered = list(dict.fromkeys(int(i) for i in photons))
-    _photon_indices(ordered, n)
+    ordered = _channel_photons(photons, n, spec.delta_sigma != 0.0)
     if spec.delta_sigma != 0.0 and len(ordered) > 2:
         raise ValueError("correlated dephasing needs one photon or an ordered pair")
     w = np.array([[1.0]], dtype=complex)
     binv = spec.basis.conj().T
     for q in range(n):
         w = kron(w, binv if q in ordered else _IDENTITY_2)
-    k_all = _basis_one_counts(n, ordered)
-    k_first = _basis_one_counts(n, ordered[:1])
-    damping = spec.characteristic(k_all[:, None] - k_all[None, :],
-                                  k_first[:, None] - k_first[None, :])
+    damping = spec.characteristic(_excitation_difference(n, ordered),
+                                  _excitation_difference(n, ordered[:1]))
     rotated = w @ rho.matrix @ w.conj().T
     return DensityOperator(w.conj().T @ (rotated * damping) @ w)

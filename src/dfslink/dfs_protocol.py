@@ -1,12 +1,12 @@
-"""End-to-end qubit-layer protocol for channel-protected entanglement transfer.
+"""End-to-end protocol for channel-protected entanglement transfer.
 
 The sender holds a photon S that may be entangled with arbitrary spectator
 qubits.  She appends an ancilla photon in the diagonal state and sends both
 through the collectively dephasing channel.  The receiver sifts the photon
 pair onto the noise-protected subspace span{|HV>, |VH>} with a parity check
-(a polarizing beam splitter plus post-selection at the optics layer) and
-decodes by measuring the redundant photon diagonally, applying a pi phase
-correction when the minus outcome is kept.  The encoding never looks at the
+(a polarizing beam splitter plus post-selection) and decodes by measuring
+the redundant photon diagonally, applying a pi phase correction when the
+minus outcome is kept.  The encoding never looks at the
 input amplitudes, so entanglement with the spectators survives untouched.
 
 Encode, dephase and sift touch only S, so for a fixed channel spec the link

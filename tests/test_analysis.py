@@ -141,6 +141,56 @@ def test_repeated_records_are_summed():
         assert abs(sd2 - sd / math.sqrt(2)) < 1e-12 * sd
 
 
+def test_chsh_error_bar_at_repeated_angles_matches_poisson_oracle():
+    # With b = b' the terms (a, b) and (a, b') read the same counts and
+    # cancel, while (a', b) and (a', b') add up, so S = 2 E(a', b).  Oracle:
+    # the spread of that S over Poisson draws of the counts.
+    angles = (0.0, 45.0, 22.5, 22.5)
+    phi_plus = np.zeros((4, 4))
+    phi_plus[np.ix_([0, 3], [0, 3])] = 0.5
+    rho = DensityOperator(0.5 * phi_plus + 0.5 * np.diag([0.7, 0.1, 0.1, 0.1]))
+    settings = chsh_settings(angles)
+    mu = np.array([1000.0 * float(np.real(np.trace(rho.matrix @ s.joint_projector())))
+                   for s in settings])
+    _, sd = chsh_from_counts([CountRecord(s, m) for s, m in zip(settings, mu)], angles)
+    n = 50_000
+    draws = np.random.default_rng(3).poisson(mu, size=(n, 16))
+    # chsh_settings lists the terms in order, each as ++, +-, -+, --; sum the
+    # two terms that share the (a', b) settings.
+    c = draws[:, 8:12] + draws[:, 12:16]
+    e = (c[:, 0] + c[:, 3] - c[:, 1] - c[:, 2]) / c.sum(axis=1)
+    mc = float(np.std(2.0 * e, ddof=1))
+    assert abs(sd - mc) < 4.0 * mc / math.sqrt(2.0 * (n - 1))
+
+
+def test_angle_valued_records_match_named():
+    # 0/90/45/135 name the same analyzers as H/V/D/A; L and R stay named.
+    angle_of = {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}
+    name_of = {v: k for k, v in angle_of.items()}
+
+    def relabel(records, table):
+        # The records lose their scale, so tomo_mle takes the rate from the
+        # H/V subset.
+        return [CountRecord(MeasSetting(table.get(r.setting.analyzer_a, r.setting.analyzer_a),
+                                        table.get(r.setting.analyzer_b, r.setting.analyzer_b)),
+                            r.count)
+                for r in records]
+
+    state = werner(0.8)
+    tomo = relabel(simulate_counts(state, tomography_settings(), 1000, seed=3), {})
+    np.testing.assert_allclose(tomo_mle(relabel(tomo, angle_of)).rho_hat.matrix,
+                               tomo_mle(tomo).rho_hat.matrix, atol=1e-8)
+    stokes = simulate_counts(state, stokes_settings(), 1000, seed=4)
+    assert (bell_fidelity_from_counts(relabel(stokes, angle_of))
+            == bell_fidelity_from_counts(stokes))
+    angles = (0.0, 45.0, 90.0, 135.0)
+    chsh = simulate_counts(state, chsh_settings(angles), 1000, seed=5)
+    assert chsh_from_counts(relabel(chsh, name_of), angles) == chsh_from_counts(chsh, angles)
+    # An angle a hair below 180 degrees is the analyzer at 0.
+    assert chsh_from_counts(chsh, (-1e-7, 45.0, 90.0, 135.0)) == chsh_from_counts(chsh, angles)
+    assert MeasSetting(-1e-10, 90.0) == MeasSetting(0.0, 90.0)
+
+
 def test_chsh_separable_bound(rng):
     # Random separable states: mixtures of product states stay below 2.
     for _ in range(1000):

@@ -8,7 +8,6 @@ import pytest
 from conftest import haar_state
 from dfslink.channels import (
     CIRCULAR_BASIS,
-    ChannelPhotonSet,
     DephasingSpec,
     collective_dephase,
     correlated_dephase,
@@ -63,7 +62,7 @@ def test_uniform_single_photon_fully_dephases():
 
 def test_uniform_leaves_encoded_state_invariant():
     rho = encoded_bell_state().density()
-    out = collective_dephase(rho, ChannelPhotonSet({1, 2}), UNIFORM)
+    out = collective_dephase(rho, (1, 2), UNIFORM)
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
@@ -94,6 +93,12 @@ def test_correlated_reduces_to_collective_at_zero_jitter(rng):
     a = collective_dephase(psi.density(), {1, 2}, spec)
     b = correlated_dephase(psi.density(), (1, 2), spec)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+    # In H/V both are rotate_basis, bit for bit, with or without jitter.
+    assert np.array_equal(b.matrix, rotate_basis(spec, psi.density(), (1, 2)).matrix)
+    jittered = DephasingSpec(per_photon_sigma=0.4, mean_phase=0.2, delta_sigma=0.9,
+                             distribution="gaussian")
+    assert np.array_equal(correlated_dephase(psi.density(), (2, 1), jittered).matrix,
+                          rotate_basis(jittered, psi.density(), (2, 1)).matrix)
 
 
 def test_correlated_large_jitter_kills_all_off_diagonals():
@@ -153,6 +158,39 @@ def test_rotate_basis_jitter_photon_count(rng):
         rotate_basis(spec, haar_state(8, rng).density(), (0, 1, 2))
 
 
+def test_jitter_rides_on_first_photon_listed(rng):
+    # Swapping the pair moves the jitter to the other photon, which changes
+    # the output; each order matches the oracle with the jitter on its first.
+    spec = DephasingSpec(mean_phase=0.3, per_photon_sigma=0.5, delta_sigma=1.5,
+                         distribution="gaussian")
+    rho = StateVector(np.exp(1j * rng.uniform(0, 2 * np.pi, size=8)) / np.sqrt(8)).density()
+    n = 40_000
+    common = rng.normal(0.3, 0.5, size=n)
+    jitter = rng.normal(0.0, 1.5, size=n)
+    outs = []
+    for first, second in ((0, 2), (2, 0)):
+        out = correlated_dephase(rho, (first, second), spec)
+        mc = mc_dephase(rho, {first: common + jitter, second: common}, 3)
+        assert np.max(np.abs(mc - out.matrix)) < 5.0 / np.sqrt(n)
+        outs.append(out.matrix)
+    assert np.max(np.abs(outs[0] - outs[1])) > 0.05
+
+
+def test_channel_photons_are_ordered_and_distinct(rng):
+    # A set has no first photon to carry the jitter; without jitter it is fine.
+    rho = haar_state(8, rng).density()
+    jittered = DephasingSpec(delta_sigma=0.5)
+    for photons in ({0, 2}, frozenset({0, 2})):
+        with pytest.raises(ValueError, match="ordered"):
+            rotate_basis(jittered, rho, photons)
+        with pytest.raises(ValueError, match="ordered"):
+            correlated_dephase(rho, photons, jittered)
+        assert np.array_equal(rotate_basis(UNIFORM, rho, photons).matrix,
+                              rotate_basis(UNIFORM, rho, (0, 2)).matrix)
+    with pytest.raises(ValueError, match="distinct"):
+        rotate_basis(UNIFORM, rho, (1, 1))
+
+
 def test_baseline_circular_jitter_matches_mc_oracle(rng):
     # In the circular basis the phases act on the L/R components of S:
     # rotate S into that basis, apply the sampled phases, rotate back.
@@ -203,6 +241,7 @@ def test_rotate_basis_identity_basis_matches_plain_call(rng):
     a = rotate_basis(spec, psi.density(), {0, 1})
     b = collective_dephase(psi.density(), {0, 1}, spec)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+    assert np.array_equal(a.matrix, b.matrix)
 
 
 @pytest.mark.parametrize(
