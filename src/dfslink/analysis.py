@@ -2,8 +2,9 @@
 
 Covers the Bell-correlation test with Poisson error propagation, coincidence
 count generation, two-qubit state tomography (linear inversion plus
-maximum-likelihood on a Cholesky parametrization), Wootters concurrence and
-entanglement of formation, parametric-bootstrap error bars, and the
+maximum likelihood by Newton's method on a Cholesky parametrization, stopped
+on a certified bound on the likelihood still to gain), Wootters concurrence
+and entanglement of formation, parametric-bootstrap error bars, and the
 path-delay interference model with its Gaussian fit.
 """
 
@@ -11,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import optimize
 
 from .qmath import (
+    _freeze,
     KET_D,
     KET_DBAR,
     KET_H,
@@ -90,6 +92,12 @@ def _analyzer_ket(a: Analyzer) -> StateVector:
     return StateVector([math.cos(theta), math.sin(theta)])
 
 
+def _canonical_angle(a: float) -> float:
+    """A linear analyzer's angle mod 180 degrees, rounded to 6 digits; the
+    second mod sends angles that round up to 180 back to 0."""
+    return round(float(a) % 180.0, 6) % 180.0
+
+
 @dataclass(frozen=True, eq=True)
 class MeasSetting:
     """One joint analyzer setting: a polarization name (H/V/D/A/L/R) or a
@@ -97,6 +105,8 @@ class MeasSetting:
 
     analyzer_a: Analyzer
     analyzer_b: Analyzer
+    # Built once per setting; read-only, and left out of eq, hash and repr.
+    _projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("analyzer_a", "analyzer_b"):
@@ -107,11 +117,14 @@ class MeasSetting:
             elif not math.isfinite(a):
                 raise ValueError(f"analyzer angle must be finite, got {a!r}")
             else:
-                object.__setattr__(self, name, round(float(a) % 180.0, 9) % 180.0)
+                object.__setattr__(self, name, _canonical_angle(a))
+        object.__setattr__(self, "_projector", _freeze(
+            kron(projector(_analyzer_ket(self.analyzer_a)),
+                 projector(_analyzer_ket(self.analyzer_b)))))
 
     def joint_projector(self) -> np.ndarray:
-        return kron(projector(_analyzer_ket(self.analyzer_a)),
-                    projector(_analyzer_ket(self.analyzer_b)))
+        """The read-only 4x4 projector onto this setting's joint outcome."""
+        return self._projector
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +153,7 @@ class TomographyResult:
     log_likelihood: float
     iterations: int
     converged: bool
+    gap: float
     log_likelihood_history: tuple = ()
 
 
@@ -181,12 +195,11 @@ def chsh_settings(settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> list[MeasS
 
 def _angle_key(a: Analyzer) -> Analyzer:
     """The one identity of an analyzer: a linear analyzer (H/V/D/A or an
-    angle) is its angle mod 180 degrees, rounded alike for records and
-    lookups; the circular analyzers L and R keep their names.  The second
-    mod sends angles that round up to 180 back to 0."""
+    angle) is its canonical angle, rounded as ``MeasSetting`` rounds it; the
+    circular analyzers L and R keep their names."""
     if isinstance(a, str):
         return {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}.get(a, a)
-    return round(float(a) % 180.0, 6) % 180.0
+    return _canonical_angle(a)
 
 
 def _count_table(records: Sequence[CountRecord]) -> dict:
@@ -353,25 +366,59 @@ def _params_from_t(m: np.ndarray) -> np.ndarray:
     return t
 
 
-def _poisson_objective(t: np.ndarray, projs, counts, scales,
-                       p_floor: float = 1e-12):
-    """Log-likelihood and its gradient in the Cholesky parameters.
+# _PAIRS[:, a * 16 + b] is the flattened transpose of E_a^+ E_b, with E_a the
+# matrix that parameter a multiplies in T, so that a projector stack times
+# _PAIRS gives every tr(P_k E_a^+ E_b) at once.
+_UNITS = np.array([_t_from_params(e) for e in np.eye(16)])
+_PAIRS = np.einsum("aji,bjk->abki", _UNITS.conj(), _UNITS).reshape(256, 16).T
 
-    rho(t) = T+T / tr(T+T); the gradient is the Wirtinger derivative wrt
-    conj(T) mapped onto the real parameter vector.
+_GAP_TOLERANCE = 1e-6
+
+
+def _quadratic_forms(projs: np.ndarray) -> np.ndarray:
+    """Q_k with tr(P_k T^+T) = t^T Q_k t, as a (K, 16, 16) real stack."""
+    return np.real(projs.reshape(-1, 16) @ _PAIRS).reshape(-1, 16, 16)
+
+
+def _log_likelihood(probs: np.ndarray, counts: np.ndarray, scales: np.ndarray) -> float:
+    """sum_k n_k log(N_k p_k) - N_k p_k; settings with no counts add only
+    -N_k p_k, and a probability that is not positive under counts gives -inf."""
+    seen = counts > 0
+    mu = scales[seen] * probs[seen]
+    if not (mu > 0).all():
+        return -math.inf
+    return float(counts[seen] @ np.log(mu) - scales @ probs)
+
+
+def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
+                  scales: np.ndarray):
+    """Gradient and Hessian of the log-likelihood along the sphere |t| = 1
+    at a unit vector t, the weights w_k = n_k / p_k - N_k and the p_k.
+
+    With q_k = t^T Q_k t and W = sum_k w_k Q_k, the gradient is 2 P W t and
+    the Hessian P [2 W - 4 sum_k (n_k / q_k^2) (Q_k t)(Q_k t)^T
+    - 2 (n - sum_k N_k q_k) I] P, where P = I - t t^T and n = sum_k n_k.
+    Since rho(t) ignores the scale of t, these are also the derivatives of
+    the log-likelihood of rho(t) for steps orthogonal to t.
     """
-    tm = _t_from_params(t)
-    g = tm.conj().T @ tm
-    trg = float(np.real(np.trace(g)))
-    if trg <= 0:
-        raise FloatingPointError("degenerate Cholesky factor")
-    probs = np.maximum(_probabilities(g, projs) / trg, p_floor)
-    mu = scales * probs
-    ll = float(np.sum(counts * np.log(mu) - mu))
-    w = counts / probs - scales
-    omega = np.einsum("k,kij->ij", w, projs)
-    g_t = tm @ (omega - float(np.sum(w * probs)) * np.eye(4)) / trg
-    return ll, _params_from_t(2.0 * g_t)
+    qt = forms @ t
+    probs = qt @ t
+    inverse = np.divide(1.0, probs, out=np.zeros_like(probs), where=counts > 0)
+    weights = counts * inverse - scales
+    wt = weights @ qt
+    grad = 2.0 * (wt - (t @ wt) * t)
+    curvature = (2.0 * (weights @ forms.reshape(-1, 256)).reshape(16, 16)
+                 - 4.0 * (qt.T * (counts * inverse**2)) @ qt)
+    curvature.flat[::17] -= 2.0 * (counts.sum() - scales @ probs)
+    tangent = np.eye(16) - np.outer(t, t)
+    return grad, tangent @ curvature @ tangent, weights, probs
+
+
+def _gap(weights: np.ndarray, probs: np.ndarray, projs: np.ndarray) -> float:
+    """lambda_max(Omega) - tr(Omega rho) with Omega = sum_k w_k P_k: since
+    the log-likelihood is concave in rho, no state beats rho by more."""
+    omega = (weights @ projs.reshape(-1, 16)).reshape(4, 4)
+    return float(np.linalg.eigvalsh(omega)[-1] - weights @ probs)
 
 
 def tomo_mle(
@@ -379,65 +426,87 @@ def tomo_mle(
     init: Optional[np.ndarray] = None,
     max_iterations: int = 10_000,
 ) -> TomographyResult:
-    """Maximum-likelihood state reconstruction.
+    """Maximum-likelihood state reconstruction with a certified optimum.
 
     The state is parametrized as rho = T+T / tr(T+T) with T lower-triangular
-    (16 real parameters), so positivity and unit trace hold by construction.
-    The Poisson log-likelihood sum_k (n_k log mu_k - mu_k) with
-    mu_k = N_k <P_k> is maximized with L-BFGS (analytic gradient); the
-    Armijo line search makes the likelihood non-decreasing across accepted
-    iterations.  Non-convergence is reported through the ``converged`` flag.
+    (16 real parameters t, |t|^2 = tr(T+T)), so positivity and unit trace
+    hold by construction.  The Poisson log-likelihood sum_k (n_k log mu_k -
+    mu_k) with mu_k = N_k <P_k> is maximized by Newton's method on the
+    sphere |t| = 1, where the scale of t drops out: each step solves with
+    the exact Hessian, its eigenvalues taken in absolute value, and
+    backtracks until the likelihood rises (Armijo).  A step whose predicted
+    gain is below 1e-9, under the likelihood's rounding, is taken whole.
 
-    ``log_likelihood_history`` holds the log-likelihood at the start point,
-    then the optimizer's value at each iterate; the default start packs the
-    Cholesky factor L of the projected linear estimate, so rho(t0) = L+L / tr.
+    The fit stops once ``gap`` = lambda_max(Omega) - tr(Omega rho), with
+    Omega = sum_k (n_k / p_k - N_k) P_k, is at most 1e-6.  The likelihood is
+    concave in rho, so no state has a log-likelihood above the estimate's
+    plus ``gap``; ``converged`` means that certificate holds.  Otherwise,
+    after ``max_iterations`` steps or when no step raises the likelihood,
+    ``converged`` is False.
+
+    The default start is T with T+T = rho_lin, the linear estimate with its
+    eigenvalues floored at 1e-6.  ``init`` is a 16-vector of Cholesky
+    parameters; one with zero norm, or with zero probability at a setting
+    that has counts, is rejected.  ``log_likelihood_history`` holds the
+    log-likelihood at the start, then at each iterate.
     """
     projs, design, counts = _measurement_model(records)
     scales = _record_scales(records)
-
-    def neg_loglik_and_grad(t):
-        ll, grad = _poisson_objective(t, projs, counts, scales)
-        return -ll, -grad
+    forms = _quadratic_forms(projs)
 
     if init is None:
-        linear = _linear_inversion(design, counts)
-        t0 = _params_from_t(np.linalg.cholesky(_physical_projection(linear)))
+        # T = (J L J)^+ with J the exchange matrix and L the Cholesky factor
+        # of J rho_lin J, so that T+T = rho_lin and T is lower-triangular.
+        rho_lin = _physical_projection(_linear_inversion(design, counts))
+        t = _params_from_t(np.linalg.cholesky(rho_lin[::-1, ::-1])[::-1, ::-1].conj().T)
     else:
-        t0 = np.asarray(init, dtype=float)
-        if t0.shape != (16,):
+        t = np.asarray(init, dtype=float)
+        if t.shape != (16,):
             raise ValueError("init must be a 16-vector of Cholesky parameters")
+    norm = float(np.linalg.norm(t))
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError("init must be finite and nonzero")
+    t = t / norm
+    ll = _log_likelihood((forms @ t) @ t, counts, scales)
+    if ll == -math.inf:
+        raise ValueError("init gives zero probability to a setting with counts")
 
-    history = [_poisson_objective(t0, projs, counts, scales)[0]]
+    grad, hess, weights, probs = _newton_terms(t, forms, counts, scales)
+    history = [ll]
+    gap = _gap(weights, probs, projs)
+    while gap > _GAP_TOLERANCE and len(history) <= max_iterations:
+        lams, vecs = np.linalg.eigh(hess)
+        scale = np.maximum(np.abs(lams), 1e-8 * np.abs(lams).max())
+        step = vecs @ ((vecs.T @ grad) / scale)
+        slope = float(grad @ step)
+        for _ in range(60):
+            trial = t + step
+            trial /= np.linalg.norm(trial)
+            trial_ll = _log_likelihood((forms @ trial) @ trial, counts, scales)
+            if (trial_ll >= ll + 1e-4 * slope
+                    or (slope < 1e-9 and trial_ll > -math.inf)):
+                break
+            step *= 0.5
+            slope *= 0.5
+        else:
+            break  # no step raises the likelihood: stop, uncertified
+        t, ll = trial, trial_ll
+        grad, hess, weights, probs = _newton_terms(t, forms, counts, scales)
+        history.append(ll)
+        gap = _gap(weights, probs, projs)
 
-    def callback(intermediate_result):
-        # SciPy passes the iterate's OptimizeResult only under this name.
-        history.append(-intermediate_result.fun)
-
-    res = optimize.minimize(
-        neg_loglik_and_grad,
-        t0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": max_iterations, "ftol": 1e-15, "gtol": 1e-10},
-    )
-    tm = _t_from_params(res.x)
+    tm = _t_from_params(t)
     g = tm.conj().T @ tm
-    rho_hat = DensityOperator(g / np.real(np.trace(g)))
-    final_ll = history[-1]
-    improvements = np.diff(history)
-    converged = bool(
-        res.nit < max_iterations
-        and (len(improvements) == 0 or abs(improvements[-1]) < 1e-9
-             or res.success)
-    )
+    converged = gap <= _GAP_TOLERANCE
     if not converged:
-        logger.warning("tomography MLE did not converge after %d iterations", res.nit)
+        logger.warning("tomography MLE stopped after %d iterations with gap %.3g",
+                       len(history) - 1, gap)
     return TomographyResult(
-        rho_hat=rho_hat,
-        log_likelihood=final_ll,
-        iterations=int(res.nit),
+        rho_hat=DensityOperator(g / np.real(np.trace(g))),
+        log_likelihood=ll,
+        iterations=len(history) - 1,
         converged=converged,
+        gap=gap,
         log_likelihood_history=tuple(history),
     )
 

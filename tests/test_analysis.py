@@ -189,6 +189,12 @@ def test_angle_valued_records_match_named():
     # An angle a hair below 180 degrees is the analyzer at 0.
     assert chsh_from_counts(chsh, (-1e-7, 45.0, 90.0, 135.0)) == chsh_from_counts(chsh, angles)
     assert MeasSetting(-1e-10, 90.0) == MeasSetting(0.0, 90.0)
+    # Settings round angles as the count table keys them, to 6 digits: the
+    # analyzers it sums into one key are one setting with one projector.
+    near, exact = MeasSetting(1e-7, 0.0), MeasSetting(0.0, 0.0)
+    assert near == exact and hash(near) == hash(exact)
+    assert np.array_equal(near.joint_projector(), exact.joint_projector())
+    assert MeasSetting(45.0000004, 179.9999996) == MeasSetting(45.0, 0.0)
 
 
 def test_chsh_separable_bound(rng):
@@ -292,6 +298,23 @@ def test_meas_setting_rejects_non_finite_angle(angle):
         MeasSetting("H", angle)
 
 
+def test_joint_projector_is_built_once_and_read_only():
+    setting = MeasSetting("D", 30.0)
+    proj = setting.joint_projector()
+    assert setting.joint_projector() is proj
+    theta = math.radians(30.0)
+    ket_d = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    ket_30 = np.array([math.cos(theta), math.sin(theta)])
+    np.testing.assert_allclose(proj, np.kron(np.outer(ket_d, ket_d), np.outer(ket_30, ket_30)),
+                               atol=1e-15)
+    with pytest.raises(ValueError):
+        proj[0, 0] = 0.0
+    # The cached projector takes no part in equality, hashing or repr.
+    assert MeasSetting("D", 30.0) == setting
+    assert hash(MeasSetting("D", 30.0)) == hash(setting)
+    assert repr(setting) == "MeasSetting(analyzer_a='D', analyzer_b=30.0)"
+
+
 # ---------------------------------------------------------------------------
 # Tomography
 
@@ -323,33 +346,44 @@ def test_tomo_linear_always_hermitian_trace_one(rng):
 
 
 def test_mle_gradient_matches_finite_differences(rng):
-    # Oracle: central finite differences of the objective's own value output.
-    from dfslink.analysis import _poisson_objective
+    # Oracle: central finite differences of the log-likelihood of rho(t),
+    # which ignores the scale of t.  The evaluator's gradient and Hessian are
+    # taken along the sphere |t| = 1, so the finite-difference Hessian is
+    # projected onto the tangent plane before comparing.
+    from dfslink.analysis import (_log_likelihood, _measurement_model, _newton_terms,
+                                  _quadratic_forms)
 
     rho = random_density(4, rng)
     records = simulate_counts(rho, tomography_settings(), 2000, seed=7)
-    projs = np.array([r.setting.joint_projector() for r in records])
-    counts = np.array([float(r.count) for r in records])
+    projs, _, counts = _measurement_model(records)
+    forms = _quadratic_forms(projs)
     scales = np.array([r.scale for r in records])
+
+    def loglik(t):
+        return _log_likelihood((forms @ t) @ t / (t @ t), counts, scales)
 
     t0 = rng.normal(size=16)
     t0[:4] = np.abs(t0[:4]) + 0.5
-    _, grad = _poisson_objective(t0, projs, counts, scales)
+    t0 /= np.linalg.norm(t0)
+    grad, hess, _, _ = _newton_terms(t0, forms, counts, scales)
     eps = 1e-6
-    num_grad = np.zeros(16)
-    for k in range(16):
-        tp, tmn = t0.copy(), t0.copy()
-        tp[k] += eps
-        tmn[k] -= eps
-        lp = _poisson_objective(tp, projs, counts, scales)[0]
-        lm = _poisson_objective(tmn, projs, counts, scales)[0]
-        num_grad[k] = (lp - lm) / (2 * eps)
+    steps = eps * np.eye(16)
+    num_grad = np.array([(loglik(t0 + e) - loglik(t0 - e)) / (2 * eps) for e in steps])
     np.testing.assert_allclose(grad, num_grad, rtol=1e-5, atol=1e-6)
+
+    h = 1e-4
+    steps = h * np.eye(16)
+    num_hess = np.array([[(loglik(t0 + a + b) - loglik(t0 + a - b)
+                           - loglik(t0 - a + b) + loglik(t0 - a - b)) / (4 * h * h)
+                          for b in steps] for a in steps])
+    tangent = np.eye(16) - np.outer(t0, t0)
+    np.testing.assert_allclose(hess, tangent @ num_hess @ tangent, rtol=1e-5,
+                               atol=1e-6 * np.abs(hess).max())
 
 
 def test_tomo_mle_exact_bell_counts():
     result = tomo_mle(exact_records(PHI.density(), total=1e6))
-    assert result.converged
+    assert result.converged and result.gap <= 1e-6
     assert fidelity_with_pure(result.rho_hat, PHI) > 0.999
     lams = np.linalg.eigvalsh(result.rho_hat.matrix)
     assert lams[0] >= -1e-12
@@ -371,6 +405,68 @@ def test_tomo_mle_monotone_likelihood(rng):
     assert np.all(np.diff(hist) >= -1e-9)
     # Final likelihood at least that of the physically projected linear start.
     assert hist[-1] >= hist[0] - 1e-9
+
+
+def test_tomo_mle_default_start_is_projected_linear_estimate(rng):
+    # Oracle: the linear estimate with its eigenvalues floored at 1e-6 and
+    # the trace restored, and its Poisson log-likelihood setting by setting.
+    rho = random_density(4, rng, rank=2)
+    records = simulate_counts(rho, tomography_settings(), 1000, seed=21)
+    vals, vecs = np.linalg.eigh(tomo_linear(records).matrix)
+    rho_lin = (vecs * np.maximum(vals, 1e-6)) @ vecs.conj().T
+    rho_lin /= np.trace(rho_lin).real
+    start = tomo_mle(records, max_iterations=0)
+    assert start.iterations == 0
+    np.testing.assert_allclose(start.rho_hat.matrix, rho_lin, rtol=0, atol=1e-12)
+    direct = 0.0
+    for r in records:
+        mu = r.scale * float(np.real(np.trace(rho_lin @ r.setting.joint_projector())))
+        direct += r.count * math.log(mu) - mu
+    full = tomo_mle(records)
+    assert full.log_likelihood_history[0] == start.log_likelihood
+    assert abs(full.log_likelihood_history[0] - direct) <= 1e-9 * abs(direct)
+
+
+@pytest.mark.parametrize("case", ["pure", "rank2", "full"])
+def test_tomo_mle_gap_certifies_the_optimum(rng, case):
+    # Oracle: concavity in rho.  No density matrix may have a log-likelihood
+    # above the estimate's plus the reported gap.  Tried: random states, the
+    # pure state along which the likelihood rises fastest from rho_hat, and
+    # states a short way from rho_hat towards each.
+    rho = {"pure": haar_state(4, rng).density(),
+           "rank2": random_density(4, rng, rank=2),
+           "full": random_density(4, rng)}[case]
+    records = simulate_counts(rho, tomography_settings(), 800, seed=31)
+    result = tomo_mle(records)
+    assert result.converged and 0.0 <= result.gap <= 1e-6
+    projs = np.array([r.setting.joint_projector() for r in records])
+    counts = np.array([r.count for r in records])
+    scales = np.array([r.scale for r in records])
+
+    def loglik(m):
+        mu = scales * np.real(np.einsum("ij,kji->k", m, projs))
+        seen = counts > 0
+        return float(counts[seen] @ np.log(mu[seen]) - mu.sum())
+
+    rho_hat = result.rho_hat.matrix
+    probs = np.real(np.einsum("ij,kji->k", rho_hat, projs))
+    slope = np.einsum("k,kij->ij", counts / probs - scales, projs)
+    steepest = np.linalg.eigh(slope)[1][:, -1]
+    candidates = [np.outer(steepest, steepest.conj())]
+    candidates += [random_density(4, rng, rank=rank).matrix for rank in (1, 2, 4) * 20]
+    bound = result.log_likelihood + result.gap + 1e-9 * abs(result.log_likelihood)
+    for sigma in candidates:
+        for weight in (1.0, 1e-2, 1e-4, 1e-6):
+            assert loglik((1 - weight) * rho_hat + weight * sigma) <= bound
+
+
+def test_tomo_mle_rejects_degenerate_start():
+    records = exact_records(PHI.density(), total=1000)
+    with pytest.raises(ValueError, match="nonzero"):
+        tomo_mle(records, init=np.zeros(16))
+    # rho(t) = |HH><HH| gives zero probability to (V, V), which has counts.
+    with pytest.raises(ValueError, match="zero probability"):
+        tomo_mle(records, init=np.eye(16)[0])
 
 
 def test_cholesky_parameter_layout():

@@ -34,17 +34,13 @@ def mc_dephase(rho, photon_phases, n_qubits):
     ``photon_phases`` maps qubit index -> (n_samples,) array of phases.
     """
     n_samples = len(next(iter(photon_phases.values())))
-    dim = 2**n_qubits
-    acc = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for k in range(n_samples):
-        phase = np.zeros(dim)
-        for q, phis in photon_phases.items():
-            bit = (idx >> (n_qubits - 1 - q)) & 1
-            phase = phase + bit * phis[k]
-        u = np.exp(1j * phase)
-        acc += (u[:, None] * rho.matrix) * u.conj()[None, :]
-    return acc / n_samples
+    idx = np.arange(2**n_qubits)
+    # u[k, i] = exp(i phi_k(i)), the phase sample k puts on basis ket i; the
+    # average of u_k rho u_k^+ is rho * (u^T u^*) / n_samples entrywise.
+    phase = sum(np.outer(phis, (idx >> (n_qubits - 1 - q)) & 1)
+                for q, phis in photon_phases.items())
+    u = np.exp(1j * phase)
+    return rho.matrix * (u.T @ u.conj()) / n_samples
 
 
 def encoded_bell_state():
