@@ -84,10 +84,7 @@ _STOKES_BASES = (("H", "V"), ("D", "A"), ("R", "L"))
 
 def _analyzer_ket(a: Analyzer) -> StateVector:
     if isinstance(a, str):
-        try:
-            return _NAMED_ANALYZERS[a]
-        except KeyError:
-            raise ValueError(f"unknown analyzer label {a!r}") from None
+        return _NAMED_ANALYZERS[a]
     theta = math.radians(float(a))
     return StateVector([math.cos(theta), math.sin(theta)])
 
@@ -297,14 +294,17 @@ def _probabilities(g: np.ndarray, projs: np.ndarray) -> np.ndarray:
 
 
 def _measurement_model(records: Sequence[CountRecord]):
-    """Projector stack (K, 4, 4), design matrix (K, 16) and counts (K,) of
-    records whose settings are informationally complete."""
+    """Projector stack (K, 4, 4), least-squares solution chi (4, 4) of
+    design @ vec(chi) = counts, and counts (K,) of informationally complete
+    records.  The design's rank comes from the same SVD as chi, at
+    ``matrix_rank``'s threshold eps * max(K, 16) * s_max."""
     projs = _projector_stack([r.setting for r in records])
     design = projs.transpose(0, 2, 1).reshape(-1, 16)
-    if len(design) < 16 or np.linalg.matrix_rank(design) < 16:
-        raise ValueError("settings are not informationally complete")
     counts = np.array([float(r.count) for r in records])
-    return projs, design, counts
+    chi, _, rank, _ = np.linalg.lstsq(design, counts.astype(complex), rcond=None)
+    if rank < 16:
+        raise ValueError("settings are not informationally complete")
+    return projs, chi.reshape(4, 4), counts
 
 
 def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
@@ -328,12 +328,12 @@ def tomo_linear(records: Sequence[CountRecord]) -> Operator:
 
     Returns a Hermitian, trace-one estimate; positivity is not guaranteed.
     """
-    _, design, counts = _measurement_model(records)
-    return Operator(_linear_inversion(design, counts))
+    _, chi, _ = _measurement_model(records)
+    return Operator(_linear_inversion(chi))
 
 
-def _linear_inversion(design: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    chi = np.linalg.lstsq(design, counts.astype(complex), rcond=None)[0].reshape(4, 4)
+def _linear_inversion(chi: np.ndarray) -> np.ndarray:
+    """The least-squares solution made Hermitian and trace one."""
     chi = 0.5 * (chi + chi.conj().T)
     tr = float(np.real(np.trace(chi)))
     if abs(tr) < 1e-12:
@@ -450,14 +450,14 @@ def tomo_mle(
     that has counts, is rejected.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
     """
-    projs, design, counts = _measurement_model(records)
+    projs, chi, counts = _measurement_model(records)
     scales = _record_scales(records)
     forms = _quadratic_forms(projs)
 
     if init is None:
         # T = (J L J)^+ with J the exchange matrix and L the Cholesky factor
         # of J rho_lin J, so that T+T = rho_lin and T is lower-triangular.
-        rho_lin = _physical_projection(_linear_inversion(design, counts))
+        rho_lin = _physical_projection(_linear_inversion(chi))
         t = _params_from_t(np.linalg.cholesky(rho_lin[::-1, ::-1])[::-1, ::-1].conj().T)
     else:
         t = np.asarray(init, dtype=float)

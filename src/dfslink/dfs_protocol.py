@@ -10,10 +10,12 @@ minus outcome is kept.  The encoding never looks at the
 input amplitudes, so entanglement with the spectators survives untouched.
 
 Encode, dephase and sift touch only S, so for a fixed channel spec the link
-is one trace-decreasing map from one qubit to one qubit.  :func:`distribute`
-derives that map's Choi tensor by running the stage functions on |Phi+> of
-(reference, S), then applies it to the last qubit of the caller's register;
-the stage functions remain the only statement of the physics.
+is one trace-decreasing map from one qubit to one qubit.  Encoding does not
+depend on the channel, so the encoded probe (|Phi+> of (reference, S) plus
+the ancilla) is a constant; :func:`distribute` dephases and sifts it, takes
+the link's Choi tensor as 2 x the sifted probe and applies it to the last
+qubit of the caller's register.  The stages are plain maps on states and
+remain the only statement of the physics.
 
 State bookkeeping: the protocol input orders qubits (spectators..., S); the
 ancilla is appended last, and after sifting the surviving logical qubit takes
@@ -98,21 +100,23 @@ class ProtocolOutcome:
 _ANCILLA = prepare_ancilla().density()
 
 
-def encode_append(inp: ProtocolInput) -> DensityOperator:
+def encode_append(rho: DensityOperator) -> DensityOperator:
     """Append the ancilla: state (spectators..., S) -> (spectators..., S, S')."""
-    return tensor(inp.state, _ANCILLA)
+    return tensor(rho, _ANCILLA)
 
 
-def qpg_sift(
-    rho: DensityOperator, s_index: int, sprime_index: int
-) -> tuple[DensityOperator, float]:
+# The encoded probe on (reference, S, S'), the same for every channel.
+_PROBE = encode_append(_PHI_PLUS)
+
+
+def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOperator:
     """Parity-gate sift onto the protected subspace span{|H_s V_s'>, |V_s H_s'>}.
 
     Returns the sub-normalized conditional state (one qubit fewer, logical
-    qubit at S's slot, S' removed) and the sift probability.  Relabeling
-    |HV> -> |H>, |VH> -> |V> absorbs the receiver's 90 degree rotation of the
-    long-arm photon, so each output ket j is the input ket with S's bit of j
-    and the opposite bit inserted at S'.
+    qubit at S's slot, S' removed); its ``norm`` is the sift probability.
+    Relabeling |HV> -> |H>, |VH> -> |V> absorbs the receiver's 90 degree
+    rotation of the long-arm photon, so each output ket j is the input ket
+    with S's bit of j and the opposite bit inserted at S'.
     """
     n = rho.num_qubits
     if s_index == sprime_index:
@@ -126,27 +130,22 @@ def qpg_sift(
     low = n - 1 - sprime_index  # output bits below S'
     keep = ((j >> low) << (low + 1)) | ((1 - bit_s) << low) | (j & ((1 << low) - 1))
     cond = rho.matrix[keep[:, None], keep]
-    cond = 0.5 * (cond + cond.conj().T)
-    out = DensityOperator(cond)
-    return out, out.norm
+    return DensityOperator(0.5 * (cond + cond.conj().T))
 
 
-def decode(rho: DensityOperator, x_index: int, keep_dbar: bool = False) -> ProtocolOutcome:
+def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     """Diagonal-basis measurement of the redundant photon.
 
     On the sifted logical space the plus outcome leaves the state untouched
-    and the minus outcome imprints a Z on qubit ``x_index``, each with half
+    and the minus outcome imprints a Z on the logical qubit, each with half
     the input weight.  The minus branch is discarded by default;
     ``keep_dbar`` applies the pi phase correction, which undoes that Z
     exactly (Z Z rho Z Z = rho), and keeps the branch.  Either way the kept
-    state is ``rho`` normalized.
+    state is ``rho`` normalized, whichever qubit is the logical one.
 
     Branch probabilities are absolute, i.e. they inherit the norm of a
     sub-normalized input.
     """
-    n = rho.num_qubits
-    if x_index < 0 or x_index >= n:
-        raise ValueError(f"qubit index {x_index} out of range for {n} qubits")
     p_branch = 0.5 * rho.norm
     dbar = "Dbar_corrected" if keep_dbar else "Dbar_discarded"
     branches = {"D": p_branch, dbar: p_branch}
@@ -161,22 +160,20 @@ def decode(rho: DensityOperator, x_index: int, keep_dbar: bool = False) -> Proto
 def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     """Full pipeline: encode, dephase, sift, decode.
 
-    The stages run once on |Phi+> of (reference, S), which gives the link's
-    Choi tensor J[s, y, s', y'] = 2 <s y| sifted |s' y'>.  J then acts on
-    the last qubit of the input register, and :func:`decode` does the branch
-    bookkeeping.  The output state lives on (spectators..., Y) and the branch
-    map covers {D, Dbar, sift_fail}; the success probability multiplies the
-    sift and kept-decode probabilities.
+    The constant encoded probe is dephased and sifted; the link's Choi
+    tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>.
+    J acts on the last qubit of the input register and :func:`decode` does
+    the branch bookkeeping.  The output lives on (spectators..., Y); the
+    branch map covers {D, Dbar, sift_fail}, the sift probability being the
+    link output's ``norm``.  The success probability multiplies the sift
+    and kept-decode probabilities.
     """
-    spec = inp.channel_spec
-    probe = encode_append(ProtocolInput(_PHI_PLUS, spec))
-    sifted, _ = qpg_sift(rotate_basis(spec, probe, (1, 2)), 1, 2)
+    sifted = qpg_sift(rotate_basis(inp.channel_spec, _PROBE, (1, 2)), 1, 2)
     choi = 2.0 * sifted.matrix.reshape(2, 2, 2, 2)
     r = inp.state.dim // 2
     rho = np.einsum("asbt,sytz->aybz", inp.state.matrix.reshape(r, 2, r, 2), choi)
     link_out = DensityOperator(rho.reshape(2 * r, 2 * r))
-    outcome = decode(link_out, x_index=inp.state.num_qubits - 1,
-                     keep_dbar=inp.keep_dbar_branch)
+    outcome = decode(link_out, keep_dbar=inp.keep_dbar_branch)
     branches = dict(outcome.branch_probabilities)
     branches["sift_fail"] = 1.0 - link_out.norm
     return ProtocolOutcome(outcome.state, outcome.success_probability, branches)

@@ -143,10 +143,9 @@ class DensityOperator:
             raise ValueError("density matrix trace is not real")
         if tr.real < -ATOL_STRICT or tr.real > 1.0 + 1e-9:
             raise ValueError(f"density matrix trace {tr.real} outside [0, 1]")
-        if m.shape[0] <= 64:
-            lam_min = float(np.linalg.eigvalsh(m)[0])
-            if lam_min < -ATOL_CHANNEL:
-                raise ValueError(f"density matrix not PSD: min eigenvalue {lam_min}")
+        lam_min = float(np.linalg.eigvalsh(m)[0])
+        if lam_min < -ATOL_CHANNEL:
+            raise ValueError(f"density matrix not PSD: min eigenvalue {lam_min}")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
         object.__setattr__(self, "norm", float(tr.real))
 

@@ -684,6 +684,47 @@ def test_transform_limit_rejects_non_finite(args):
         transform_limited_fwhm(*args)
 
 
+def _raise(recs):
+    raise RuntimeError("statistic failed")
+
+
+# Informationally complete settings with no H or V analyzer on either side.
+_NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
+                   for b in (30.0, 75.0, 120.0, "R")]
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 0.0, 1),
+                 "totals must be positive", id="zero-total"),
+    pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H")] * 2,
+                                         [100.0, -1.0], 1),
+                 "totals must be positive", id="negative-total"),
+    pytest.param(lambda: tomo_mle([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
+                 "no complete H/V subset", id="no-scale-no-hv"),
+    pytest.param(lambda: concurrence(DensityOperator(np.eye(2) / 2)), "two-qubit",
+                 id="concurrence-one-qubit"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=1),
+                 "at least two resamples", id="one-resample"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), _raise, n_resamples=3),
+                 "too few successful resamples", id="statistic-always-raises"),
+    pytest.param(lambda: DelayScanModel(400.0, 0.85, 0.0), "FWHM", id="zero-fwhm"),
+    pytest.param(lambda: DelayScanModel(400.0, 0.85, -1.0), "FWHM", id="negative-fwhm"),
+    pytest.param(lambda: DelayScanModel(0.0, 0.85, 130.0), "background",
+                 id="zero-background"),
+    pytest.param(lambda: DelayScanModel(-1.0, 0.85, 130.0), "background",
+                 id="negative-background"),
+    pytest.param(lambda: gaussian_fit([5.0] * 6, [1.0] * 6, [1.0] * 6), "nonzero range",
+                 id="equal-delays"),
+])
+def test_analysis_rejection_messages(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_concurrence_of_zero_matrix_is_zero():
+    assert concurrence(DensityOperator(np.zeros((4, 4)))) == 0.0
+
+
 def test_gaussian_fit_requires_points():
     with pytest.raises(ValueError):
         gaussian_fit([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])

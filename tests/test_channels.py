@@ -324,6 +324,26 @@ def test_spec_rejects_non_finite(name, bad):
         DephasingSpec(distribution="gaussian", **{name: bad})
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: DephasingSpec(basis=np.eye(3)), "2x2", id="3x3-basis"),
+    pytest.param(lambda: rotate_basis(UNIFORM, KET_D.density(), ()), "empty",
+                 id="no-photons"),
+    pytest.param(lambda: rotate_basis(UNIFORM, KET_D.density(), (1,)), "out of range",
+                 id="photon-past-end"),
+    pytest.param(lambda: rotate_basis(UNIFORM, KET_D.density(), (-1,)), "out of range",
+                 id="negative-photon"),
+    pytest.param(lambda: collective_dephase(KET_D.density(), (0,),
+                                            DephasingSpec(basis=CIRCULAR_BASIS)),
+                 "rotate_basis", id="collective-circular"),
+    pytest.param(lambda: correlated_dephase(tensor(KET_D.density(), KET_D.density()),
+                                            (0, 1), DephasingSpec(basis=CIRCULAR_BASIS)),
+                 "rotate_basis", id="correlated-circular"),
+])
+def test_channel_rejection_messages(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         DephasingSpec(per_photon_sigma=-1.0)

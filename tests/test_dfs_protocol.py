@@ -58,7 +58,7 @@ def test_prepare_ancilla():
 
 def test_encode_append_marginals():
     inp = ProtocolInput(prepare_phi_minus().density(), UNIFORM)
-    enc = encode_append(inp)
+    enc = encode_append(inp.state)
     assert abs(enc.norm - 1.0) < 1e-12
     np.testing.assert_allclose(
         partial_trace(enc, {2}).matrix, KET_D.density().matrix, atol=1e-14
@@ -79,9 +79,9 @@ def expected_sift_of_encoded_phi_minus():
 
 
 def test_qpg_sift_on_encoded_bell_pair():
-    enc = encode_append(ProtocolInput(prepare_phi_minus().density(), UNIFORM))
-    cond, prob = qpg_sift(enc, 1, 2)
-    assert abs(prob - 0.5) < 1e-12
+    enc = encode_append(prepare_phi_minus().density())
+    cond = qpg_sift(enc, 1, 2)
+    assert abs(cond.norm - 0.5) < 1e-12
     expected = np.outer(
         expected_sift_of_encoded_phi_minus(),
         expected_sift_of_encoded_phi_minus().conj(),
@@ -92,14 +92,13 @@ def test_qpg_sift_on_encoded_bell_pair():
 
 def test_qpg_sift_outside_dfs():
     rho = tensor(KET_H.density(), KET_H.density())
-    _, prob = qpg_sift(rho, 0, 1)
-    assert prob < 1e-14
+    assert qpg_sift(rho, 0, 1).norm < 1e-14
 
 
 def test_qpg_sift_maximally_mixed():
     rho = DensityOperator(np.eye(4) / 4)
-    cond, prob = qpg_sift(rho, 0, 1)
-    assert abs(prob - 0.5) < 1e-12
+    cond = qpg_sift(rho, 0, 1)
+    assert abs(cond.norm - 0.5) < 1e-12
     np.testing.assert_allclose(cond.normalized().matrix, np.eye(2) / 2, atol=1e-12)
 
 
@@ -129,9 +128,9 @@ def test_qpg_sift_matches_isometry_oracle_for_every_ordered_pair(n, rng):
                 continue
             iso = sift_isometry_oracle(n, s, sprime)
             expected = iso @ rho.matrix @ iso.conj().T
-            cond, prob = qpg_sift(rho, s, sprime)
+            cond = qpg_sift(rho, s, sprime)
             np.testing.assert_allclose(cond.matrix, expected, rtol=0, atol=1e-15)
-            assert abs(prob - np.trace(expected).real) < 1e-15
+            assert abs(cond.norm - np.trace(expected).real) < 1e-15
 
 
 def test_qpg_sift_bad_indices():
@@ -142,9 +141,25 @@ def test_qpg_sift_bad_indices():
         qpg_sift(rho, 0, 2)
 
 
+@pytest.mark.parametrize("state, match", [
+    (DensityOperator(np.eye(2) / 4), "normalized"),
+    (DensityOperator(np.ones((1, 1))), "channel qubit"),
+])
+def test_protocol_input_rejection_messages(state, match):
+    with pytest.raises(ValueError, match=match):
+        ProtocolInput(state)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_decode_of_zero_state(keep):
+    out = decode(DensityOperator(np.zeros((4, 4))), keep_dbar=keep)
+    assert out.success_probability == 0.0
+    assert not out.state.matrix.any()
+
+
 def test_decode_d_branch():
     rho = prepare_phi_minus().density()
-    out = decode(rho, x_index=1, keep_dbar=False)
+    out = decode(rho, keep_dbar=False)
     assert abs(out.branch_probabilities["D"] - 0.5) < 1e-12
     assert abs(out.success_probability - 0.5) < 1e-12
     assert abs(fidelity_with_pure(out.state, prepare_phi_minus()) - 1.0) < 1e-12
@@ -159,14 +174,14 @@ def test_decode_dbar_correction_identity():
     np.testing.assert_allclose(
         z2 @ phi_plus.amplitudes, prepare_phi_minus().amplitudes, atol=1e-15
     )
-    out = decode(prepare_phi_minus().density(), x_index=1, keep_dbar=True)
+    out = decode(prepare_phi_minus().density(), keep_dbar=True)
     assert abs(fidelity_with_pure(out.state, prepare_phi_minus()) - 1.0) < 1e-12
 
 
 def test_decode_keep_dbar_doubles_success():
     rho = prepare_phi_minus().density()
-    without = decode(rho, 1, keep_dbar=False)
-    with_corr = decode(rho, 1, keep_dbar=True)
+    without = decode(rho, keep_dbar=False)
+    with_corr = decode(rho, keep_dbar=True)
     assert abs(with_corr.success_probability - 2 * without.success_probability) < 1e-12
     np.testing.assert_allclose(
         with_corr.state.matrix, without.state.matrix, atol=1e-12
@@ -246,13 +261,13 @@ def test_distribute_matches_stage_composition(n, basis, delta_sigma, keep, rng):
                          delta_sigma=delta_sigma, distribution="gaussian")
     for rank in (1, 2**n):
         inp = ProtocolInput(random_density(2**n, rng, rank), spec, keep)
-        sifted, p_sift = qpg_sift(rotate_basis(spec, encode_append(inp), (n - 1, n)),
-                                  n - 1, n)
-        ref = decode(sifted, n - 1, keep)
+        sifted = qpg_sift(rotate_basis(spec, encode_append(inp.state), (n - 1, n)),
+                          n - 1, n)
+        ref = decode(sifted, keep)
         out = distribute(inp)
         assert np.max(np.abs(out.state.matrix - ref.state.matrix)) < 1e-12
         assert abs(out.success_probability - ref.success_probability) < 1e-12
-        branches = dict(ref.branch_probabilities, sift_fail=1.0 - p_sift)
+        branches = dict(ref.branch_probabilities, sift_fail=1.0 - sifted.norm)
         assert out.branch_probabilities.keys() == branches.keys()
         for name, prob in branches.items():
             assert abs(out.branch_probabilities[name] - prob) < 1e-12

@@ -196,7 +196,7 @@ def test_density_operator_rejects_negative():
 
 @pytest.mark.parametrize("dim, bad", [(128, np.nan), (2, np.inf)])
 def test_density_operator_rejects_non_finite(dim, bad):
-    # NaN fails every comparison, and above dim 64 the PSD check is skipped.
+    # NaN fails every comparison, so only the finiteness check catches it.
     with pytest.raises(ValueError, match="finite"):
         DensityOperator(np.full((dim, dim), bad, dtype=complex))
 
@@ -209,10 +209,29 @@ def test_density_operator_rejects_non_finite(dim, bad):
     (0.6 * np.eye(2), r"outside \[0, 1\]"),
     (-0.1 * np.eye(2), r"outside \[0, 1\]"),
     (np.array([[1.5, 0.0], [0.0, -0.5]]), "not PSD"),
+    (np.diag(np.r_[-1e-3, np.full(127, (1 + 1e-3) / 127)]), "not PSD"),
 ])
 def test_density_operator_rejection_messages(matrix, match):
     with pytest.raises(ValueError, match=match):
         DensityOperator(matrix)
+
+
+@pytest.mark.parametrize("amplitudes, match", [
+    ([], "at least one amplitude"),
+    ([np.nan], "finite"),
+])
+def test_state_vector_rejection_messages(amplitudes, match):
+    with pytest.raises(ValueError, match=match):
+        StateVector(amplitudes)
+
+
+@pytest.mark.parametrize("normalize", [
+    pytest.param(lambda: StateVector([0.0, 0.0]).normalize(), id="vector"),
+    pytest.param(lambda: DensityOperator(np.zeros((2, 2))).normalized(), id="state"),
+])
+def test_zero_cannot_be_normalized(normalize):
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalize()
 
 
 def test_density_operator_trace_tolerance():
