@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 from .qmath import (
     _freeze,
@@ -676,7 +676,7 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
     above = d[contrast > v0 / 2.0]
     l0 = float(above.max() - above.min()) if above.size >= 2 else span / 4.0
     l0 = max(l0, span / 50.0)
-    res = optimize.least_squares(
+    res = scipy.optimize.least_squares(
         residual,
         x0=[v0, l0, b0],
         bounds=([0.0, 1e-6, 1e-6], [1.5, 10.0 * span, np.inf]),

@@ -13,12 +13,14 @@ oracle.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmath import ATOL_STRICT, DensityOperator, kron
+from .qmath import ATOL_STRICT, DensityOperator, _freeze, kron
 
 __all__ = [
     "DephasingSpec",
@@ -38,6 +40,11 @@ _IDENTITY_2 = np.eye(2, dtype=complex)
 @dataclass(frozen=True, eq=False)
 class DephasingSpec:
     """Parametrization of the channel phase noise.
+
+    A spec is immutable: its fields cannot be rebound and ``basis`` is a
+    read-only copy of the array passed in.  ``dfs_protocol.distribute``
+    caches the link map it derives from a spec for as long as that spec
+    object lives.
 
     Attributes
     ----------
@@ -76,7 +83,7 @@ class DephasingSpec:
             raise ValueError("sigma parameters must be non-negative")
         if self.distribution not in ("uniform", "gaussian"):
             raise ValueError(f"unknown phase distribution {self.distribution!r}")
-        object.__setattr__(self, "basis", b.copy())
+        object.__setattr__(self, "basis", _freeze(b.copy()))
 
     def is_computational(self) -> bool:
         return bool(np.max(np.abs(self.basis - np.eye(2))) < ATOL_STRICT)
@@ -104,7 +111,11 @@ def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
     if jittered and isinstance(photons, (set, frozenset)) and len(photons) > 1:
         raise ValueError("jitter rides on the first photon listed: "
                          "pass an ordered sequence, not a set")
-    idx = [int(i) for i in photons]
+    idx = list(photons)
+    try:
+        idx = [operator.index(i) for i in idx]
+    except TypeError:
+        raise ValueError(f"channel photon indices must be integers, got {idx}") from None
     if not idx:
         raise ValueError("channel photon set is empty")
     if len(set(idx)) < len(idx):
@@ -114,11 +125,17 @@ def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
     return idx
 
 
+@functools.lru_cache
+def _occupation(n: int, photons: tuple[int, ...]) -> np.ndarray:
+    """k[i]: the number of ``photons`` in basis state 1 in ket i (read-only)."""
+    shifts = n - 1 - np.asarray(photons)
+    return _freeze(((np.arange(2**n)[:, None] >> shifts) & 1).sum(axis=1))
+
+
 def _excitation_difference(n: int, photons: Sequence[int]) -> np.ndarray:
     """m[i, j]: the number of ``photons`` in basis state 1 in ket i minus
     that in ket j."""
-    shifts = n - 1 - np.asarray(photons)
-    k = ((np.arange(2**n)[:, None] >> shifts) & 1).sum(axis=1)
+    k = _occupation(n, tuple(photons))
     return k[:, None] - k[None, :]
 
 

@@ -14,8 +14,10 @@ is one trace-decreasing map from one qubit to one qubit.  Encoding does not
 depend on the channel, so the encoded probe (|Phi+> of (reference, S) plus
 the ancilla) is a constant; :func:`distribute` dephases and sifts it, takes
 the link's Choi tensor as 2 x the sifted probe and applies it to the last
-qubit of the caller's register.  The stages are plain maps on states and
-remain the only statement of the physics.
+qubit of the caller's register.  The tensor is computed once per spec
+object and kept, read-only, for as long as that (immutable) spec lives.
+The stages are plain maps on states and remain the only statement of the
+physics.
 
 State bookkeeping: the protocol input orders qubits (spectators..., S); the
 ancilla is appended last, and after sifting the surviving logical qubit takes
@@ -24,13 +26,14 @@ S's position, so outputs are ordered (spectators..., Y).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
 from .channels import DephasingSpec, rotate_basis
-from .qmath import KET_D, DensityOperator, StateVector, tensor
+from .qmath import KET_D, DensityOperator, StateVector, _freeze, tensor
 
 __all__ = [
     "ProtocolInput",
@@ -108,6 +111,10 @@ def encode_append(rho: DensityOperator) -> DensityOperator:
 # The encoded probe on (reference, S, S'), the same for every channel.
 _PROBE = encode_append(_PHI_PLUS)
 
+# The link's Choi tensor of each live spec.  Specs hash by identity and are
+# immutable, so an entry is valid for exactly as long as its spec exists.
+_CHOI = weakref.WeakKeyDictionary()
+
 
 def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOperator:
     """Parity-gate sift onto the protected subspace span{|H_s V_s'>, |V_s H_s'>}.
@@ -162,14 +169,19 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
 
     The constant encoded probe is dephased and sifted; the link's Choi
     tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>.
-    J acts on the last qubit of the input register and :func:`decode` does
-    the branch bookkeeping.  The output lives on (spectators..., Y); the
-    branch map covers {D, Dbar, sift_fail}, the sift probability being the
-    link output's ``norm``.  The success probability multiplies the sift
-    and kept-decode probabilities.
+    J is computed on the first call with a given spec object and reused on
+    later calls with the same object while it lives.  J acts on the last
+    qubit of the input register and :func:`decode` does the branch
+    bookkeeping.  The output lives on (spectators..., Y); the branch map
+    covers {D, Dbar, sift_fail}, the sift probability being the link
+    output's ``norm``.  The success probability multiplies the sift and
+    kept-decode probabilities.
     """
-    sifted = qpg_sift(rotate_basis(inp.channel_spec, _PROBE, (1, 2)), 1, 2)
-    choi = 2.0 * sifted.matrix.reshape(2, 2, 2, 2)
+    spec = inp.channel_spec
+    choi = _CHOI.get(spec)
+    if choi is None:
+        sifted = qpg_sift(rotate_basis(spec, _PROBE, (1, 2)), 1, 2)
+        choi = _CHOI[spec] = _freeze(2.0 * sifted.matrix.reshape(2, 2, 2, 2))
     r = inp.state.dim // 2
     rho = np.einsum("asbt,sytz->aybz", inp.state.matrix.reshape(r, 2, r, 2), choi)
     link_out = DensityOperator(rho.reshape(2 * r, 2 * r))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from dfslink.analysis import (
     tomography_settings,
     transform_limited_fwhm,
 )
+import dfslink.analysis
 from dfslink.dfs_protocol import prepare_phi_minus
 from dfslink.qmath import (
     DensityOperator,
@@ -646,6 +651,26 @@ def test_gaussian_fit_round_trip():
     assert abs(fit.visibility - 0.85) / 0.85 < 1e-6
     assert abs(fit.coherence_fwhm - 130.0) / 130.0 < 1e-6
     assert abs(fit.background - 400.0) / 400.0 < 1e-6
+
+
+def test_scipy_optimize_loads_only_for_a_fit():
+    # A fresh interpreter: this one may have loaded scipy.optimize already.
+    script = """
+import sys
+import numpy as np
+import dfslink.qmath, dfslink.channels, dfslink.dfs_protocol, dfslink.analysis as an
+print("scipy.optimize" in sys.modules)
+model = an.DelayScanModel(background=400.0, visibility=0.85, coherence_fwhm=130.0)
+delays = np.linspace(-300, 300, 21)
+fit = an.gaussian_fit(delays, *an.delay_scan(model, delays))
+print(fit.converged and abs(fit.coherence_fwhm - 130.0) < 1e-4)
+"""
+    src = str(Path(dfslink.analysis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split()
+    assert out == ["False", "True"]
 
 
 def test_gaussian_fit_with_poisson_noise(rng):

@@ -9,6 +9,7 @@ from conftest import haar_state
 from dfslink.channels import (
     CIRCULAR_BASIS,
     DephasingSpec,
+    _occupation,
     collective_dephase,
     correlated_dephase,
     rotate_basis,
@@ -185,6 +186,9 @@ def test_channel_photons_are_ordered_and_distinct(rng):
                               rotate_basis(UNIFORM, rho, (0, 2)).matrix)
     with pytest.raises(ValueError, match="distinct"):
         rotate_basis(UNIFORM, rho, (1, 1))
+    # NumPy integers are indices too.
+    assert np.array_equal(rotate_basis(jittered, rho, np.array([2, 0])).matrix,
+                          rotate_basis(jittered, rho, (2, 0)).matrix)
 
 
 def test_baseline_circular_jitter_matches_mc_oracle(rng):
@@ -332,6 +336,8 @@ def test_spec_rejects_non_finite(name, bad):
                  id="photon-past-end"),
     pytest.param(lambda: rotate_basis(UNIFORM, KET_D.density(), (-1,)), "out of range",
                  id="negative-photon"),
+    pytest.param(lambda: rotate_basis(UNIFORM, tensor(KET_D.density(), KET_D.density()),
+                                      [1.9]), "must be integers", id="fractional-photon"),
     pytest.param(lambda: collective_dephase(KET_D.density(), (0,),
                                             DephasingSpec(basis=CIRCULAR_BASIS)),
                  "rotate_basis", id="collective-circular"),
@@ -342,6 +348,22 @@ def test_spec_rejects_non_finite(name, bad):
 def test_channel_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_spec_is_immutable():
+    basis = CIRCULAR_BASIS.copy()
+    spec = DephasingSpec(basis=basis)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.basis[0, 0] = 5
+    basis[0, 0] = 5
+    assert np.array_equal(spec.basis, CIRCULAR_BASIS)
+
+
+def test_occupation_vector_is_read_only_and_counts_photons():
+    # One entry per ket: how many of the listed photons it has in state 1.
+    k = _occupation(3, (0, 2))
+    assert not k.flags.writeable
+    assert k.tolist() == [bin(i & 0b101).count("1") for i in range(8)]
 
 
 def test_spec_validation():

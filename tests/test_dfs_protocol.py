@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import haar_state, haar_unitary, random_density
+from dfslink import dfs_protocol
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
 from dfslink.dfs_protocol import (
     ProtocolInput,
@@ -272,6 +276,48 @@ def test_distribute_matches_stage_composition(n, basis, delta_sigma, keep, rng):
         for name, prob in branches.items():
             assert abs(out.branch_probabilities[name] - prob) < 1e-12
         assert abs(sum(out.branch_probabilities.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("basis", ["hv", "circular", "random"])
+@pytest.mark.parametrize("delta_sigma", [0.0, 0.7])
+@pytest.mark.parametrize("keep", [False, True])
+def test_distribute_warm_cache_matches_cold(n, basis, delta_sigma, keep, rng):
+    # Two specs with equal parameters are two cache keys: one is warmed on
+    # another input first, the other is seen for the first time.
+    b = {"hv": np.eye(2), "circular": CIRCULAR_BASIS,
+         "random": haar_unitary(2, rng)}[basis]
+    warm, cold = (DephasingSpec(basis=b, mean_phase=0.3, per_photon_sigma=0.8,
+                                delta_sigma=delta_sigma, distribution="gaussian")
+                  for _ in range(2))
+    distribute(ProtocolInput(random_density(2**n, rng), warm, keep))
+    assert warm in dfs_protocol._CHOI and cold not in dfs_protocol._CHOI
+    state = random_density(2**n, rng, 1)
+    hit = distribute(ProtocolInput(state, warm, keep))
+    miss = distribute(ProtocolInput(state, cold, keep))
+    assert np.array_equal(hit.state.matrix, miss.state.matrix)
+    assert hit.success_probability == miss.success_probability
+    assert hit.branch_probabilities == miss.branch_probabilities
+
+
+def test_cached_choi_is_read_only():
+    spec = DephasingSpec(mean_phase=0.2, per_photon_sigma=0.5, distribution="gaussian")
+    distribute(ProtocolInput(prepare_phi_minus().density(), spec))
+    choi = dfs_protocol._CHOI[spec]
+    assert choi.shape == (2, 2, 2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        choi[0, 0, 0, 0] = 0.0
+
+
+def test_cache_entry_lives_as_long_as_its_spec():
+    spec = DephasingSpec(delta_sigma=0.3)
+    distribute(ProtocolInput(prepare_phi_minus().density(), spec))
+    spec_ref = weakref.ref(spec)
+    choi_ref = weakref.ref(dfs_protocol._CHOI[spec])
+    del spec
+    gc.collect()
+    assert spec_ref() is None
+    assert choi_ref() is None
 
 
 @pytest.mark.parametrize("keep, success", [(False, 0.25), (True, 0.5)])
