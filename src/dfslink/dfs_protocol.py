@@ -93,9 +93,7 @@ class ProtocolOutcome:
     branch_probabilities: Dict[str, float]
 
     def __post_init__(self):
-        kept = self.branch_probabilities.get("D", 0.0)
-        if "Dbar_corrected" in self.branch_probabilities:
-            kept += self.branch_probabilities["Dbar_corrected"]
+        kept = sum(self.branch_probabilities.get(k, 0.0) for k in ("D", "Dbar_corrected"))
         if abs(kept - self.success_probability) > 1e-10:
             raise ValueError("success probability does not match kept branches")
 
@@ -151,16 +149,14 @@ def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     state is ``rho`` normalized, whichever qubit is the logical one.
 
     Branch probabilities are absolute, i.e. they inherit the norm of a
-    sub-normalized input.
+    sub-normalized input; ``sift_fail`` = 1 - norm holds the rest, so the
+    branches sum to one.
     """
     p_branch = 0.5 * rho.norm
     dbar = "Dbar_corrected" if keep_dbar else "Dbar_discarded"
-    branches = {"D": p_branch, dbar: p_branch}
+    branches = {"D": p_branch, dbar: p_branch, "sift_fail": 1.0 - rho.norm}
     success = rho.norm if keep_dbar else p_branch
-    if success <= 0.0:
-        state = DensityOperator(np.zeros_like(rho.matrix))
-    else:
-        state = rho.normalized()
+    state = rho.normalized() if success > 0.0 else DensityOperator(np.zeros_like(rho.matrix))
     return ProtocolOutcome(state, success, branches)
 
 
@@ -171,11 +167,9 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>.
     J is computed on the first call with a given spec object and reused on
     later calls with the same object while it lives.  J acts on the last
-    qubit of the input register and :func:`decode` does the branch
-    bookkeeping.  The output lives on (spectators..., Y); the branch map
-    covers {D, Dbar, sift_fail}, the sift probability being the link
-    output's ``norm``.  The success probability multiplies the sift and
-    kept-decode probabilities.
+    qubit of the input register, and the outcome is :func:`decode`'s on the
+    link output, whose ``norm`` is the sift probability: the output lives on
+    (spectators..., Y) and the branch map covers {D, Dbar, sift_fail}.
     """
     spec = inp.channel_spec
     choi = _CHOI.get(spec)
@@ -184,11 +178,7 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
         choi = _CHOI[spec] = _freeze(2.0 * sifted.matrix.reshape(2, 2, 2, 2))
     r = inp.state.dim // 2
     rho = np.einsum("asbt,sytz->aybz", inp.state.matrix.reshape(r, 2, r, 2), choi)
-    link_out = DensityOperator(rho.reshape(2 * r, 2 * r))
-    outcome = decode(link_out, keep_dbar=inp.keep_dbar_branch)
-    branches = dict(outcome.branch_probabilities)
-    branches["sift_fail"] = 1.0 - link_out.norm
-    return ProtocolOutcome(outcome.state, outcome.success_probability, branches)
+    return decode(DensityOperator(rho.reshape(2 * r, 2 * r)), keep_dbar=inp.keep_dbar_branch)
 
 
 def baseline_direct(inp: ProtocolInput) -> DensityOperator:

@@ -653,24 +653,86 @@ def test_gaussian_fit_round_trip():
     assert abs(fit.background - 400.0) / 400.0 < 1e-6
 
 
-def test_scipy_optimize_loads_only_for_a_fit():
-    # A fresh interpreter: this one may have loaded scipy.optimize already.
+def test_fit_never_loads_scipy():
+    # A fresh interpreter: this one may have loaded SciPy already.
     script = """
 import sys
 import numpy as np
 import dfslink.qmath, dfslink.channels, dfslink.dfs_protocol, dfslink.analysis as an
-print("scipy.optimize" in sys.modules)
 model = an.DelayScanModel(background=400.0, visibility=0.85, coherence_fwhm=130.0)
 delays = np.linspace(-300, 300, 21)
 fit = an.gaussian_fit(delays, *an.delay_scan(model, delays))
 print(fit.converged and abs(fit.coherence_fwhm - 130.0) < 1e-4)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(dfslink.analysis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout.split()
-    assert out == ["False", "True"]
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert out == ["True", "[]"]
+
+
+def _least_squares_fit(delays, dd, ddbar):
+    """The former SciPy fit, kept as an oracle: the same residuals, bounds and
+    start guess, with least_squares' tolerances tightened from 1e-8 to 1e-12
+    so that it stops at the optimum (at 1e-8 it stopped up to 1.2e-6 away in
+    V on these scans).  Returns (V, L, B) and the weighted cost."""
+    optimize = pytest.importorskip("scipy.optimize")
+    span = float(delays.max() - delays.min())
+    w = 1.0 / np.sqrt(np.maximum(np.concatenate([dd, ddbar]), 1.0))
+
+    def residual(params):
+        v, lc, b = params
+        model = DelayScanModel(background=b, visibility=v, coherence_fwhm=lc)
+        return (np.concatenate(delay_scan(model, delays)) - np.concatenate([dd, ddbar])) * w
+
+    contrast = (dd - ddbar) / np.maximum(dd + ddbar, 1e-9)
+    v0 = float(np.clip(np.max(contrast), 0.05, 1.0))
+    above = delays[contrast > v0 / 2.0]
+    l0 = float(above.max() - above.min()) if above.size >= 2 else span / 4.0
+    res = optimize.least_squares(
+        residual, x0=[v0, max(l0, span / 50.0), float(np.mean(dd + ddbar))],
+        bounds=([0.0, 1e-6, 1e-6], [1.5, 10.0 * span, np.inf]),
+        xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    return res.x, float(res.fun @ res.fun)
+
+
+def _paper_scans(visibility, seeds):
+    """Poisson-noisy 41-point scans shaped like the paper's: 2000 counts per
+    analyzer pair far from zero delay, delays out to 2.5 coherence lengths."""
+    fwhm = transform_limited_fwhm(0.79, 0.003)
+    delays = np.linspace(-2.5 * fwhm, 2.5 * fwhm, 41)
+    curves = delay_scan(DelayScanModel(2000.0, visibility, fwhm), delays)
+    for seed in seeds:
+        gen = np.random.default_rng((int(100 * visibility), seed))
+        yield delays, *(gen.poisson(c).astype(float) for c in curves)
+
+
+def test_gaussian_fit_matches_least_squares():
+    for visibility in (1.0, 0.95, 0.6, 0.2):
+        for delays, dd, ddbar in _paper_scans(visibility, range(5)):
+            fit = gaussian_fit(delays, dd, ddbar)
+            (v_ls, _, _), cost_ls = _least_squares_fit(delays, dd, ddbar)
+            assert fit.converged
+            assert fit.residuals @ fit.residuals <= cost_ls * (1.0 + 1e-9)
+            assert abs(fit.visibility - v_ls) < 1e-6
+    # One scan per visibility bound.  Swapped curves put the free optimum at
+    # V < 0.  A scan that skips zero delay can follow the model at V = 2
+    # with non-negative counts, which puts it above 1.5.
+    delays, dd, ddbar = next(_paper_scans(0.6, [0]))
+    side = np.linspace(70.0, 300.0, 12)
+    skip_zero = np.concatenate([-side[::-1], side])
+    for bound, scan in (
+        (0.0, (delays, ddbar, dd)),
+        (1.5, (skip_zero, *delay_scan(DelayScanModel(2000.0, 2.0, 100.0), skip_zero))),
+    ):
+        fit = gaussian_fit(*scan)
+        (v_ls, _, _), cost_ls = _least_squares_fit(*scan)
+        assert abs(fit.visibility - bound) < 1e-12 and abs(v_ls - bound) < 1e-6
+        assert fit.residuals @ fit.residuals <= cost_ls * (1.0 + 1e-9)
+        # At V = 0 the width drops out of the model, so no width is preferred.
+        assert fit.converged == (bound == 1.5)
 
 
 def test_gaussian_fit_with_poisson_noise(rng):
@@ -720,10 +782,15 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 0.0, 1),
-                 "totals must be positive", id="zero-total"),
+                 "totals must be finite and positive", id="zero-total"),
     pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H")] * 2,
                                          [100.0, -1.0], 1),
-                 "totals must be positive", id="negative-total"),
+                 "totals must be finite and positive", id="negative-total"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), math.nan, 1),
+                 "totals must be finite and positive", id="nan-total"),
+    pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H")] * 2,
+                                         [100.0, math.inf], 1),
+                 "totals must be finite and positive", id="inf-total"),
     pytest.param(lambda: tomo_mle([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
                  "no complete H/V subset", id="no-scale-no-hv"),
     pytest.param(lambda: concurrence(DensityOperator(np.eye(2) / 2)), "two-qubit",
@@ -740,6 +807,21 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  id="negative-background"),
     pytest.param(lambda: gaussian_fit([5.0] * 6, [1.0] * 6, [1.0] * 6), "nonzero range",
                  id="equal-delays"),
+    pytest.param(lambda: gaussian_fit(np.zeros((2, 3)), np.ones((2, 3)), np.ones((2, 3))),
+                 "1-D delays and counts of equal length", id="fit-2d-input"),
+    pytest.param(lambda: gaussian_fit(np.arange(6.0), [1.0] * 6, [1.0] * 5),
+                 "1-D delays and counts of equal length",
+                 id="fit-unequal-lengths"),
+    pytest.param(lambda: gaussian_fit([0.0, 1, 2, 3, math.nan, 5], [1.0] * 6, [1.0] * 6),
+                 "must be finite", id="fit-nan-delay"),
+    pytest.param(lambda: gaussian_fit(np.arange(6.0), [1.0] * 5 + [math.nan], [1.0] * 6),
+                 "must be finite", id="fit-nan-count"),
+    pytest.param(lambda: gaussian_fit(np.arange(6.0), [1.0] * 6, [math.inf] + [1.0] * 5),
+                 "must be finite", id="fit-inf-count"),
+    pytest.param(lambda: gaussian_fit(np.arange(6.0), [1.0] * 6, [-1.0] + [1.0] * 5),
+                 "non-negative", id="fit-negative-count"),
+    pytest.param(lambda: gaussian_fit(np.arange(6.0), [0.0] * 6, [0.0] * 6),
+                 "not all zero", id="fit-zero-counts"),
 ])
 def test_analysis_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):

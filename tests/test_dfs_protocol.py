@@ -169,6 +169,14 @@ def test_decode_d_branch():
     assert abs(fidelity_with_pure(out.state, prepare_phi_minus()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("keep", [False, True])
+def test_decode_records_sift_failure(keep):
+    rho = DensityOperator(0.3 * prepare_phi_minus().density().matrix)
+    out = decode(rho, keep_dbar=keep)
+    assert out.branch_probabilities["sift_fail"] == 1.0 - rho.norm
+    assert abs(sum(out.branch_probabilities.values()) - 1.0) < 1e-12
+
+
 def test_decode_dbar_correction_identity():
     # Z on the second qubit maps phi+ to phi-: the correction branch lands on
     # the same state as the D branch.
