@@ -1,19 +1,22 @@
 """Statistical and information-theoretic analysis of simulated experiments.
 
 Covers the Bell-correlation test with Poisson error propagation, coincidence
-count generation, two-qubit state tomography (linear inversion plus
-maximum likelihood by Newton's method on a Cholesky parametrization, stopped
-on a certified bound on the likelihood still to gain), Wootters concurrence
-and entanglement of formation, parametric-bootstrap error bars, and the
-path-delay interference model with its Gaussian fit by variable projection
-(background and visibility in closed form, coherence length searched over
-[span/50, 10 span]; not ``converged`` at an end of that range).
+count generation, two-qubit state tomography (linear inversion plus maximum
+likelihood by Newton's method on a Cholesky parametrization, stopped on a
+certified bound on the likelihood still to gain, from one measurement model
+per setting set), Wootters concurrence and entanglement of formation,
+parametric-bootstrap error bars, and the path-delay interference model with
+its Gaussian fit by variable projection (background and visibility in closed
+form, coherence length searched over [span/50, 10 span]; not ``converged`` at
+an end of that range).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -294,18 +297,25 @@ def _probabilities(g: np.ndarray, projs: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ij,kji->k", g, projs))
 
 
-def _measurement_model(records: Sequence[CountRecord]):
-    """Projector stack (K, 4, 4), least-squares solution chi (4, 4) of
-    design @ vec(chi) = counts, and counts (K,) of informationally complete
-    records.  The design's rank comes from the same SVD as chi, at
-    ``matrix_rank``'s threshold eps * max(K, 16) * s_max."""
-    projs = _projector_stack([r.setting for r in records])
-    design = projs.transpose(0, 2, 1).reshape(-1, 16)
-    counts = np.array([float(r.count) for r in records])
-    chi, _, rank, _ = np.linalg.lstsq(design, counts.astype(complex), rcond=None)
-    if rank < 16:
+@functools.lru_cache(maxsize=8)
+def _setting_model(settings: tuple):
+    """Read-only projectors, design pseudo-inverse, quadratic forms and flat
+    projectors; the rank is checked at ``matrix_rank``'s threshold."""
+    projs = _projector_stack(settings)
+    u, s, vh = np.linalg.svd(projs.transpose(0, 2, 1).reshape(-1, 16), full_matrices=False)
+    if s.size < 16 or s[-1] <= np.finfo(float).eps * max(len(settings), 16) * s[0]:
         raise ValueError("settings are not informationally complete")
-    return projs, chi.reshape(4, 4), counts
+    pinv = (vh.conj().T / s) @ u.conj().T
+    return tuple(_freeze(a) for a in (projs, pinv, _quadratic_forms(projs),
+                                      projs.reshape(-1, 16)))
+
+
+def _measurement_model(records: Sequence[CountRecord]):
+    """Projector stack (K, 4, 4), least-squares solution chi (4, 4) of design
+    @ vec(chi) = counts, and counts (K,) of informationally complete records."""
+    projs, pinv, _, _ = _setting_model(tuple(r.setting for r in records))
+    counts = np.array([float(r.count) for r in records])
+    return projs, (pinv @ counts).reshape(4, 4), counts
 
 
 def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
@@ -374,6 +384,8 @@ _UNITS = np.array([_t_from_params(e) for e in np.eye(16)])
 _PAIRS = np.einsum("aji,bjk->abki", _UNITS.conj(), _UNITS).reshape(256, 16).T
 
 _GAP_TOLERANCE = 1e-6
+_IDENTITY_16 = _freeze(np.eye(16))
+_YY = _freeze(kron(PAULI_Y, PAULI_Y))  # the spin flip of concurrence
 
 
 def _quadratic_forms(projs: np.ndarray) -> np.ndarray:
@@ -392,9 +404,10 @@ def _log_likelihood(probs: np.ndarray, counts: np.ndarray, scales: np.ndarray) -
 
 
 def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
-                  scales: np.ndarray):
+                  scales: np.ndarray, qt: Optional[np.ndarray] = None):
     """Gradient and Hessian of the log-likelihood along the sphere |t| = 1
-    at a unit vector t, the weights w_k = n_k / p_k - N_k and the p_k.
+    at a unit vector t, the weights w_k = n_k / p_k - N_k and the p_k
+    (``qt``: forms @ t, where the caller has it).
 
     With q_k = t^T Q_k t and W = sum_k w_k Q_k, the gradient is 2 P W t and
     the Hessian P [2 W - 4 sum_k (n_k / q_k^2) (Q_k t)(Q_k t)^T
@@ -402,7 +415,7 @@ def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
     Since rho(t) ignores the scale of t, these are also the derivatives of
     the log-likelihood of rho(t) for steps orthogonal to t.
     """
-    qt = forms @ t
+    qt = forms @ t if qt is None else qt
     probs = qt @ t
     inverse = np.divide(1.0, probs, out=np.zeros_like(probs), where=counts > 0)
     weights = counts * inverse - scales
@@ -411,15 +424,33 @@ def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
     curvature = (2.0 * (weights @ forms.reshape(-1, 256)).reshape(16, 16)
                  - 4.0 * (qt.T * (counts * inverse**2)) @ qt)
     curvature.flat[::17] -= 2.0 * (counts.sum() - scales @ probs)
-    tangent = np.eye(16) - np.outer(t, t)
+    tangent = _IDENTITY_16 - np.outer(t, t)
     return grad, tangent @ curvature @ tangent, weights, probs
 
 
-def _gap(weights: np.ndarray, probs: np.ndarray, projs: np.ndarray) -> float:
-    """lambda_max(Omega) - tr(Omega rho) with Omega = sum_k w_k P_k: since
-    the log-likelihood is concave in rho, no state beats rho by more."""
-    omega = (weights @ projs.reshape(-1, 16)).reshape(4, 4)
+def _newton_step(grad: np.ndarray, hess: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The ascent step |H|^-1 grad on t's tangent plane: see ``tomo_mle``."""
+    m = np.outer(t, t) - hess
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        lams, vecs = np.linalg.eigh(hess)
+        return vecs @ ((vecs.T @ grad) / np.maximum(np.abs(lams), 1e-8 * np.abs(lams).max()))
+    return np.linalg.solve(m, grad)
+
+
+def _gap(weights: np.ndarray, probs: np.ndarray, flat_projs: np.ndarray) -> float:
+    """lambda_max(Omega) - tr(Omega rho) with Omega = sum_k w_k P_k (P_k flat):
+    since the log-likelihood is concave in rho, no state beats rho by more."""
+    omega = (weights @ flat_projs).reshape(4, 4)
     return float(np.linalg.eigvalsh(omega)[-1] - weights @ probs)
+
+
+def _integer_arg(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def tomo_mle(
@@ -433,10 +464,12 @@ def tomo_mle(
     (16 real parameters t, |t|^2 = tr(T+T)), so positivity and unit trace
     hold by construction.  The Poisson log-likelihood sum_k (n_k log mu_k -
     mu_k) with mu_k = N_k <P_k> is maximized by Newton's method on the
-    sphere |t| = 1, where the scale of t drops out: each step solves with
-    the exact Hessian, its eigenvalues taken in absolute value, and
-    backtracks until the likelihood rises (Armijo).  A step whose predicted
-    gain is below 1e-9, under the likelihood's rounding, is taken whole.
+    sphere |t| = 1, where the scale of t drops out.  With H the exact Hessian
+    on the tangent plane, each step solves (t t^T - H) s = gradient where a
+    Cholesky factorization shows that matrix positive definite (so is -H on
+    the plane); else ``eigh`` solves with |H|, eigenvalues floored at 1e-8 of
+    the largest.  It backtracks until the likelihood rises (Armijo).  A step
+    whose predicted gain is below 1e-9, under rounding, is taken whole.
 
     The fit stops once ``gap`` = lambda_max(Omega) - tr(Omega rho), with
     Omega = sum_k (n_k / p_k - N_k) P_k, is at most 1e-6.  The likelihood is
@@ -451,39 +484,41 @@ def tomo_mle(
     that has counts, is rejected.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
     """
-    projs, chi, counts = _measurement_model(records)
+    if _integer_arg("max_iterations", max_iterations) < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    _, pinv, forms, flat_projs = _setting_model(tuple(r.setting for r in records))
+    counts = np.array([float(r.count) for r in records])
     scales = _record_scales(records)
-    forms = _quadratic_forms(projs)
 
     if init is None:
         # T = (J L J)^+ with J the exchange matrix and L the Cholesky factor
         # of J rho_lin J, so that T+T = rho_lin and T is lower-triangular.
-        rho_lin = _physical_projection(_linear_inversion(chi))
+        rho_lin = _physical_projection(_linear_inversion((pinv @ counts).reshape(4, 4)))
         t = _params_from_t(np.linalg.cholesky(rho_lin[::-1, ::-1])[::-1, ::-1].conj().T)
     else:
         t = np.asarray(init, dtype=float)
         if t.shape != (16,):
             raise ValueError("init must be a 16-vector of Cholesky parameters")
-    norm = float(np.linalg.norm(t))
+    norm = math.sqrt(t @ t)
     if not (math.isfinite(norm) and norm > 0):
         raise ValueError("init must be finite and nonzero")
     t = t / norm
-    ll = _log_likelihood((forms @ t) @ t, counts, scales)
+    qt = forms @ t
+    ll = _log_likelihood(qt @ t, counts, scales)
     if ll == -math.inf:
         raise ValueError("init gives zero probability to a setting with counts")
 
-    grad, hess, weights, probs = _newton_terms(t, forms, counts, scales)
+    grad, hess, weights, probs = _newton_terms(t, forms, counts, scales, qt)
     history = [ll]
-    gap = _gap(weights, probs, projs)
+    gap = _gap(weights, probs, flat_projs)
     while gap > _GAP_TOLERANCE and len(history) <= max_iterations:
-        lams, vecs = np.linalg.eigh(hess)
-        scale = np.maximum(np.abs(lams), 1e-8 * np.abs(lams).max())
-        step = vecs @ ((vecs.T @ grad) / scale)
+        step = _newton_step(grad, hess, t)
         slope = float(grad @ step)
         for _ in range(60):
             trial = t + step
-            trial /= np.linalg.norm(trial)
-            trial_ll = _log_likelihood((forms @ trial) @ trial, counts, scales)
+            trial /= math.sqrt(trial @ trial)
+            qt = forms @ trial
+            trial_ll = _log_likelihood(qt @ trial, counts, scales)
             if (trial_ll >= ll + 1e-4 * slope
                     or (slope < 1e-9 and trial_ll > -math.inf)):
                 break
@@ -492,9 +527,9 @@ def tomo_mle(
         else:
             break  # no step raises the likelihood: stop, uncertified
         t, ll = trial, trial_ll
-        grad, hess, weights, probs = _newton_terms(t, forms, counts, scales)
+        grad, hess, weights, probs = _newton_terms(t, forms, counts, scales, qt)
         history.append(ll)
-        gap = _gap(weights, probs, projs)
+        gap = _gap(weights, probs, flat_projs)
 
     tm = _t_from_params(t)
     g = tm.conj().T @ tm
@@ -523,13 +558,12 @@ def concurrence(rho: DensityOperator) -> float:
     """
     if rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit state")
-    yy = kron(PAULI_Y, PAULI_Y)
     vals, vecs = eig_hermitian(rho.matrix)
     keep = vals > 1e-14 * vals[0]
     if not keep.any():
         return 0.0
     w = vecs[:, keep] * np.sqrt(vals[keep])
-    lams = np.linalg.svd(w.T @ yy @ w, compute_uv=False)
+    lams = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
     return float(max(0.0, lams[0] - np.sum(lams[1:])))
 
 
@@ -553,35 +587,26 @@ def monte_carlo_sd(
 ) -> float:
     """Parametric-bootstrap standard deviation of a count statistic.
 
-    Each resample redraws every count as Poisson(observed) with a seed
-    derived from (seed, index), recomputes the statistic, and the sample
-    standard deviation is returned.  Resamples on which the statistic raises
-    are excluded and reported via a warning log.
+    Each resample redraws every count as Poisson(observed), in record order
+    from one generator seeded with (seed, index), recomputes the statistic,
+    and the sample standard deviation is returned.  Resamples on which the
+    statistic raises are excluded and reported via a warning log.
     """
-    if n_resamples < 2:
+    if _integer_arg("n_resamples", n_resamples) < 2:
         raise ValueError("need at least two resamples")
+    lams = np.array([float(r.count) for r in records])
     values = []
     failures = 0
     for i in range(n_resamples):
-        rng = np.random.default_rng((seed, i))
-        resampled = [
-            CountRecord(
-                r.setting,
-                int(rng.poisson(float(r.count))),
-                scale=r.scale,
-            )
-            for r in records
-        ]
+        draws = np.random.default_rng((seed, i)).poisson(lams).tolist()
+        resampled = [CountRecord(r.setting, n, scale=r.scale) for r, n in zip(records, draws)]
         try:
             values.append(float(statistic(resampled)))
         except Exception:  # noqa: BLE001 - failed resamples are excluded by contract
             failures += 1
     if failures:
-        logger.warning(
-            "monte_carlo_sd: excluded %d of %d resamples after statistic failures",
-            failures,
-            n_resamples,
-        )
+        logger.warning("monte_carlo_sd: excluded %d of %d resamples after statistic failures",
+                       failures, n_resamples)
     if len(values) < 2:
         raise ValueError("too few successful resamples to estimate a spread")
     return float(np.std(values, ddof=1))

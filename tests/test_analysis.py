@@ -350,6 +350,108 @@ def test_tomo_linear_always_hermitian_trace_one(rng):
     assert abs(np.trace(est.matrix) - 1.0) < 1e-12
 
 
+def test_tomo_linear_matches_lstsq_oracle(rng):
+    # Oracle: the least-squares solution of the design by np.linalg.lstsq,
+    # made Hermitian and trace one, on complete and overcomplete setting sets.
+    for settings in (tomography_settings(), tomography_settings() + stokes_settings()):
+        records = simulate_counts(random_density(4, rng), settings, 500, seed=8)
+        design = np.array([s.joint_projector().T.reshape(16) for s in settings])
+        counts = np.array([r.count for r in records], dtype=complex)
+        chi = np.linalg.lstsq(design, counts, rcond=None)[0].reshape(4, 4)
+        chi = 0.5 * (chi + chi.conj().T)
+        np.testing.assert_allclose(tomo_linear(records).matrix, chi / np.trace(chi).real,
+                                   rtol=0, atol=1e-12)
+
+
+def test_setting_model_is_built_once_and_read_only():
+    from dfslink.analysis import _setting_model
+
+    settings = tuple(tomography_settings())
+    model = _setting_model(settings)
+    assert _setting_model(tuple(tomography_settings())) is model
+    for array in model:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0.0
+    # Every fit of a bootstrap run shares the one model of its settings.
+    _setting_model.cache_clear()
+    records = simulate_counts(PHI.density(), list(settings), 500, seed=2)
+    monte_carlo_sd(records, lambda recs: concurrence(tomo_mle(recs).rho_hat),
+                   n_resamples=4, seed=1)
+    assert _setting_model.cache_info().misses == 1
+
+
+def _eigh_step(grad, hess):
+    # Reference: the step with H's eigenvalues in absolute value, floored at
+    # 1e-8 of the largest.
+    lams, vecs = np.linalg.eigh(hess)
+    scale = np.maximum(np.abs(lams), 1e-8 * np.abs(lams).max())
+    return vecs @ ((vecs.T @ grad) / scale)
+
+
+def _assert_same_newton_step(step, grad, hess, t):
+    # t is H's null vector, so the reference divides the rounding error of
+    # t . grad by the 1e-8 floor: its component along t is noise of up to
+    # about 1e-7 relative, where the Cholesky solve keeps t . grad itself.
+    # The steps agree on the tangent plane, the part that moves rho(t) to
+    # first order.
+    tangent = np.eye(16) - np.outer(t, t)
+    np.testing.assert_allclose(tangent @ step, tangent @ _eigh_step(grad, hess), rtol=0,
+                               atol=1e-10 * np.linalg.norm(step))
+
+
+@pytest.mark.parametrize("definite", [True, False])
+def test_newton_step_matches_eigh_step(rng, definite):
+    # Where -H is positive definite on the tangent plane of t, the Cholesky
+    # path solves the same Newton step; elsewhere the step is the reference's.
+    from dfslink.analysis import _newton_step
+
+    for _ in range(200):
+        # An orthonormal basis whose first vector is t: H = -B diag(lams) B^T
+        # on the other 15, so -H is definite on the plane iff every lam > 0.
+        q = np.linalg.qr(rng.normal(size=(16, 16)))[0]
+        t, basis = q[:, 0], q[:, 1:]
+        lams = rng.uniform(1e-3, 1e3, size=15)
+        if not definite:
+            lams[rng.integers(15)] *= -1.0
+        hess = -(basis * lams) @ basis.T
+        hess = 0.5 * (hess + hess.T)
+        grad = basis @ rng.normal(size=15)
+        step = _newton_step(grad, hess, t)
+        if definite:
+            _assert_same_newton_step(step, grad, hess, t)
+            assert abs(t @ step) <= 1e-12 * np.linalg.norm(step)  # solved, not eigh
+        else:
+            np.testing.assert_array_equal(step, _eigh_step(grad, hess))
+
+
+def test_newton_step_matches_eigh_step_along_fits(rng):
+    # The same comparison at the iterates of real fits, where the Hessian
+    # comes from the likelihood and -H is usually definite on the plane.
+    from dfslink.analysis import _newton_step, _newton_terms, _params_from_t, _quadratic_forms
+
+    cholesky_steps = 0
+    for rank in (1, 2, 4):
+        records = simulate_counts(random_density(4, rng, rank=rank), tomography_settings(),
+                                  1000, seed=rank)
+        result = tomo_mle(records)
+        projs = np.array([r.setting.joint_projector() for r in records])
+        forms = _quadratic_forms(projs)
+        counts = np.array([r.count for r in records], dtype=float)
+        scales = np.array([r.scale for r in records])
+        start = tomo_mle(records, max_iterations=0).rho_hat.matrix
+        for rho in (start, 0.5 * (start + result.rho_hat.matrix)):
+            # Cholesky parameters of rho, as tomo_mle's default start builds them.
+            t = _params_from_t(np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1].conj().T)
+            t /= np.linalg.norm(t)
+            grad, hess, _, _ = _newton_terms(t, forms, counts, scales)
+            step = _newton_step(grad, hess, t)
+            if np.linalg.eigvalsh(np.outer(t, t) - hess)[0] > 0:
+                cholesky_steps += 1
+                _assert_same_newton_step(step, grad, hess, t)
+    assert cholesky_steps > 0
+
+
 def test_mle_gradient_matches_finite_differences(rng):
     # Oracle: central finite differences of the log-likelihood of rho(t),
     # which ignores the scale of t.  The evaluator's gradient and Hessian are
@@ -485,7 +587,7 @@ def test_cholesky_parameter_layout():
     np.testing.assert_array_equal(t[np.triu_indices(4, 1)], 0)
 
 
-@pytest.mark.parametrize("max_iterations", [10_000, 3])
+@pytest.mark.parametrize("max_iterations", [10_000, 3, np.int64(3)])
 def test_tomo_mle_history_has_one_value_per_iterate(rng, max_iterations):
     rho = random_density(4, rng, rank=2)
     records = simulate_counts(rho, tomography_settings(), 800, seed=12)
@@ -512,8 +614,11 @@ def test_tomo_mle_log_likelihood_of_estimate(rng):
 ])
 def test_tomography_rejects_incomplete_settings(fit):
     records = exact_records(PHI.density())
-    with pytest.raises(ValueError, match="informationally complete"):
-        fit(records[:15])
+    # Too few settings, and 16 settings of rank 15; each twice, since the
+    # rejection is not cached away.
+    for incomplete in (records[:15], records[:15] + records[:1]) * 2:
+        with pytest.raises(ValueError, match="informationally complete"):
+            fit(incomplete)
 
 
 def test_tomo_mle_iteration_cap_reports_nonconvergence(rng):
@@ -600,6 +705,27 @@ def test_monte_carlo_sd_excludes_failures():
 
     sd = monte_carlo_sd(records, flaky, n_resamples=50, seed=5)
     assert sd > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_monte_carlo_sd_draws_match_scalar_oracle(rng, seed):
+    # Oracle: one scalar Poisson draw per record, in record order, from the
+    # resample's generator.  Counts span zero, small and large means, and
+    # non-integral ones.
+    counts = [0.0, 0.4, 3.0, 9.0, 10.0, 11.5, 250.0, 1e6 * rng.uniform()]
+    counts += list(rng.uniform(0, 50, size=8))
+    records = [CountRecord(s, c, scale=1e3) for s, c in zip(tomography_settings(), counts)]
+    seen = []
+
+    def capture(recs):
+        seen.append([r.count for r in recs])
+        return float(len(seen))
+
+    monte_carlo_sd(records, capture, n_resamples=25, seed=seed)
+    for i, drawn in enumerate(seen):
+        oracle_rng = np.random.default_rng((seed, i))
+        assert drawn == [int(oracle_rng.poisson(c)) for c in counts]
+        assert all(type(n) is int for n in drawn)
 
 
 def test_monte_carlo_sd_deterministic():
@@ -799,6 +925,8 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  "at least two resamples", id="one-resample"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), _raise, n_resamples=3),
                  "too few successful resamples", id="statistic-always-raises"),
+    pytest.param(lambda: tomo_mle(exact_records(PHI.density()), max_iterations=-3),
+                 "max_iterations must be non-negative", id="negative-max-iterations"),
     pytest.param(lambda: DelayScanModel(400.0, 0.85, 0.0), "FWHM", id="zero-fwhm"),
     pytest.param(lambda: DelayScanModel(400.0, 0.85, -1.0), "FWHM", id="negative-fwhm"),
     pytest.param(lambda: DelayScanModel(0.0, 0.85, 130.0), "background",
@@ -825,6 +953,19 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
 ])
 def test_analysis_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: tomo_mle(exact_records(PHI.density()), max_iterations=2.5),
+                 "max_iterations must be an integer, got 2.5", id="float-max-iterations"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=2.5),
+                 "n_resamples must be an integer, got 2.5", id="float-resamples"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples="3"),
+                 "n_resamples must be an integer", id="string-resamples"),
+])
+def test_analysis_rejects_non_integral_counts_of_steps(call, match):
+    with pytest.raises(TypeError, match=match):
         call()
 
 
