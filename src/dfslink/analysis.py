@@ -2,13 +2,13 @@
 
 Covers the Bell-correlation test with Poisson error propagation, coincidence
 count generation, two-qubit state tomography (linear inversion plus maximum
-likelihood by Newton's method on a Cholesky parametrization, stopped on a
-certified bound on the likelihood still to gain, from one measurement model
-per setting set), Wootters concurrence and entanglement of formation,
-parametric-bootstrap error bars, and the path-delay interference model with
-its Gaussian fit by variable projection (background and visibility in closed
-form, coherence length searched over [span/50, 10 span]; not ``converged`` at
-an end of that range).
+likelihood by Newton's method on a Cholesky parametrization in the eigenbasis
+of the linear estimate, stopped on a certified bound on the likelihood still
+to gain, from one measurement model per setting set), Wootters concurrence
+and entanglement of formation, parametric-bootstrap error bars, and the
+path-delay interference model with its Gaussian fit by variable projection
+(background and visibility in closed form, coherence length searched over
+[span/50, 10 span]; not ``converged`` at an end of that range).
 """
 
 from __future__ import annotations
@@ -352,13 +352,6 @@ def _linear_inversion(chi: np.ndarray) -> np.ndarray:
     return chi / tr
 
 
-def _physical_projection(hermitian: np.ndarray, floor: float = 1e-6) -> np.ndarray:
-    vals, vecs = eig_hermitian(hermitian)
-    vals = np.maximum(vals.real, floor)
-    rho = (vecs * vals) @ vecs.conj().T
-    return rho / np.real(np.trace(rho))
-
-
 # Parameters: diag(T), then (Re, Im) of each entry below it in row-major order.
 _BELOW_DIAGONAL = np.tril_indices(4, -1)
 
@@ -460,16 +453,17 @@ def tomo_mle(
 ) -> TomographyResult:
     """Maximum-likelihood state reconstruction with a certified optimum.
 
-    The state is parametrized as rho = T+T / tr(T+T) with T lower-triangular
-    (16 real parameters t, |t|^2 = tr(T+T)), so positivity and unit trace
-    hold by construction.  The Poisson log-likelihood sum_k (n_k log mu_k -
-    mu_k) with mu_k = N_k <P_k> is maximized by Newton's method on the
-    sphere |t| = 1, where the scale of t drops out.  With H the exact Hessian
-    on the tangent plane, each step solves (t t^T - H) s = gradient where a
-    Cholesky factorization shows that matrix positive definite (so is -H on
-    the plane); else ``eigh`` solves with |H|, eigenvalues floored at 1e-8 of
-    the largest.  It backtracks until the likelihood rises (Armijo).  A step
-    whose predicted gain is below 1e-9, under rounding, is taken whole.
+    The state is rho = U T+T U+ / tr(T+T), with U a fixed unitary and T
+    lower-triangular (16 real parameters t, |t|^2 = tr(T+T)), so positivity
+    and unit trace hold by construction.  The Poisson log-likelihood sum_k
+    (n_k log mu_k - mu_k) with mu_k = N_k <P_k> is maximized by Newton's
+    method on the sphere |t| = 1, where the scale of t drops out.  With H the
+    exact Hessian on the tangent plane, each step solves (t t^T - H) s =
+    gradient where a Cholesky factorization shows that matrix positive
+    definite (so is -H on the plane); else ``eigh`` solves with |H|,
+    eigenvalues floored at 1e-8 of the largest.  It backtracks until the
+    likelihood rises (Armijo).  A step whose predicted gain is below 1e-9,
+    under rounding, is taken whole.
 
     The fit stops once ``gap`` = lambda_max(Omega) - tr(Omega rho), with
     Omega = sum_k (n_k / p_k - N_k) P_k, is at most 1e-6.  The likelihood is
@@ -478,11 +472,13 @@ def tomo_mle(
     after ``max_iterations`` steps or when no step raises the likelihood,
     ``converged`` is False.
 
-    The default start is T with T+T = rho_lin, the linear estimate with its
-    eigenvalues floored at 1e-6.  ``init`` is a 16-vector of Cholesky
-    parameters; one with zero norm, or with zero probability at a setting
-    that has counts, is rejected.  ``log_likelihood_history`` holds the
-    log-likelihood at the start, then at each iterate.
+    By default U holds the eigenvectors of the linear estimate, eigenvalues
+    ascending, and T starts diagonal: the start is the linear estimate with
+    its eigenvalues floored at 1e-6.  ``init`` is a 16-vector of Cholesky
+    parameters in the computational basis (U = I); one with zero norm, or
+    with zero probability at a setting that has counts, is rejected.
+    ``log_likelihood_history`` holds the log-likelihood at the start, then at
+    each iterate.
     """
     if _integer_arg("max_iterations", max_iterations) < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
@@ -491,14 +487,17 @@ def tomo_mle(
     scales = _record_scales(records)
 
     if init is None:
-        # T = (J L J)^+ with J the exchange matrix and L the Cholesky factor
-        # of J rho_lin J, so that T+T = rho_lin and T is lower-triangular.
-        rho_lin = _physical_projection(_linear_inversion((pinv @ counts).reshape(4, 4)))
-        t = _params_from_t(np.linalg.cholesky(rho_lin[::-1, ::-1])[::-1, ::-1].conj().T)
+        # In the eigenbasis of rho_lin, T's zero diagonal entries stay put near a
+        # rank-deficient optimum; with U = I they drift and Newton turns linear.
+        # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.
+        vals, basis = np.linalg.eigh(_linear_inversion((pinv @ counts).reshape(4, 4)))
+        t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
+        forms = _quadratic_forms(flat_projs @ kron(basis.conj(), basis))
     else:
         t = np.asarray(init, dtype=float)
         if t.shape != (16,):
             raise ValueError("init must be a 16-vector of Cholesky parameters")
+        basis = np.eye(4)
     norm = math.sqrt(t @ t)
     if not (math.isfinite(norm) and norm > 0):
         raise ValueError("init must be finite and nonzero")
@@ -531,7 +530,7 @@ def tomo_mle(
         history.append(ll)
         gap = _gap(weights, probs, flat_projs)
 
-    tm = _t_from_params(t)
+    tm = _t_from_params(t) @ basis.conj().T
     g = tm.conj().T @ tm
     converged = gap <= _GAP_TOLERANCE
     if not converged:

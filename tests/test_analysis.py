@@ -30,7 +30,8 @@ from dfslink.analysis import (
     transform_limited_fwhm,
 )
 import dfslink.analysis
-from dfslink.dfs_protocol import prepare_phi_minus
+from dfslink.channels import DephasingSpec
+from dfslink.dfs_protocol import ProtocolInput, distribute, prepare_phi_minus
 from dfslink.qmath import (
     DensityOperator,
     StateVector,
@@ -441,7 +442,8 @@ def test_newton_step_matches_eigh_step_along_fits(rng):
         scales = np.array([r.scale for r in records])
         start = tomo_mle(records, max_iterations=0).rho_hat.matrix
         for rho in (start, 0.5 * (start + result.rho_hat.matrix)):
-            # Cholesky parameters of rho, as tomo_mle's default start builds them.
+            # Cholesky parameters of rho in the computational basis, the layout
+            # of an explicit init.
             t = _params_from_t(np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1].conj().T)
             t /= np.linalg.norm(t)
             grad, hess, _, _ = _newton_terms(t, forms, counts, scales)
@@ -532,6 +534,53 @@ def test_tomo_mle_default_start_is_projected_linear_estimate(rng):
     full = tomo_mle(records)
     assert full.log_likelihood_history[0] == start.log_likelihood
     assert abs(full.log_likelihood_history[0] - direct) <= 1e-9 * abs(direct)
+
+
+def _hv_jitter_output(delta_sigma):
+    # Phi- through gaussian H/V collective noise with inter-photon jitter: a
+    # rank-2 state.
+    spec = DephasingSpec(per_photon_sigma=0.4, delta_sigma=delta_sigma, distribution="gaussian")
+    out = distribute(ProtocolInput(PHI.density(), spec)).state.matrix
+    return DensityOperator(out / np.trace(out).real)
+
+
+@pytest.mark.parametrize("case", ["dephased", "hv-jitter-0.5", "hv-jitter-1.5"])
+def test_tomo_mle_converges_fast_at_rank_deficient_optima(case):
+    # At optima of rank 2 the fit certifies in a few Newton steps.  A
+    # Cholesky factor in the computational basis converges only linearly on
+    # these cases: a median of 21-32 steps and up to 128.
+    rho = {"dephased": DEPHASED,
+           "hv-jitter-0.5": _hv_jitter_output(0.5),
+           "hv-jitter-1.5": _hv_jitter_output(1.5)}[case]
+    iterations = []
+    for seed in range(40):
+        result = tomo_mle(simulate_counts(rho, tomography_settings(), 1000, seed=seed))
+        assert result.converged and result.gap <= 1e-6
+        iterations.append(result.iterations)
+    assert np.median(iterations) <= 6
+    assert max(iterations) <= 12
+
+
+@pytest.mark.parametrize("case", ["pure", "rank2", "full"])
+def test_tomo_mle_starts_agree_on_the_optimum(rng, case):
+    # Oracle: concavity in rho.  The default start (eigenbasis of the linear
+    # estimate) and an explicit init (Cholesky parameters of the projected
+    # linear estimate in the computational basis) both certify, so their
+    # log-likelihoods differ by no more than the larger gap, up to rounding.
+    from dfslink.analysis import _params_from_t
+
+    rank = {"pure": 1, "rank2": 2, "full": 4}[case]
+    for seed in range(10):
+        rho = random_density(4, rng, rank=rank)
+        records = simulate_counts(rho, tomography_settings(), 1000, seed=40 + seed)
+        vals, vecs = np.linalg.eigh(tomo_linear(records).matrix)
+        rho_lin = (vecs * np.maximum(vals, 1e-6)) @ vecs.conj().T
+        init = _params_from_t(np.linalg.cholesky(rho_lin[::-1, ::-1])[::-1, ::-1].conj().T)
+        default, explicit = tomo_mle(records), tomo_mle(records, init=init)
+        assert default.converged and explicit.converged
+        rounding = 1e-14 * abs(default.log_likelihood)
+        assert (abs(default.log_likelihood - explicit.log_likelihood)
+                <= max(default.gap, explicit.gap) + rounding)
 
 
 @pytest.mark.parametrize("case", ["pure", "rank2", "full"])
