@@ -4,7 +4,7 @@ Covers the Bell-correlation test with Poisson error propagation, coincidence
 count generation, two-qubit state tomography (linear inversion plus maximum
 likelihood by Newton's method on a Cholesky parametrization in the eigenbasis
 of the linear estimate, stopped on a certified bound on the likelihood still
-to gain, from one measurement model per setting set), Wootters concurrence
+to gain, from projectors cached once per setting set), Wootters concurrence
 and entanglement of formation, parametric-bootstrap error bars, and the
 path-delay interference model with its Gaussian fit by variable projection
 (background and visibility in closed form, coherence length searched over
@@ -277,10 +277,16 @@ def simulate_counts(
     ``totals`` is the per-setting expected total (scalar broadcast).
     Deterministic for a fixed seed.
     """
-    totals_arr = np.broadcast_to(np.asarray(totals, dtype=float), (len(settings),))
+    if rho.dim != 4:
+        raise ValueError("simulate_counts requires a two-qubit state")
+    try:
+        totals_arr = np.broadcast_to(np.asarray(totals, dtype=float), (len(settings),))
+    except ValueError:
+        raise ValueError("totals must be a scalar or one per setting") from None
     if not (np.isfinite(totals_arr).all() and (totals_arr > 0).all()):
         raise ValueError("totals must be finite and positive")
-    probs = np.clip(_probabilities(rho.matrix, _projector_stack(settings)), 0.0, 1.0)
+    probs = np.real(np.einsum("ij,kji->k", rho.matrix, _projector_stack(settings)))
+    probs = np.clip(probs, 0.0, 1.0)
     counts = np.random.default_rng(seed).poisson(totals_arr * probs)
     return [
         CountRecord(setting, int(count), scale=float(total))
@@ -292,30 +298,16 @@ def _projector_stack(settings: Sequence[MeasSetting]) -> np.ndarray:
     return np.array([s.joint_projector() for s in settings]).reshape(-1, 4, 4)
 
 
-def _probabilities(g: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """tr(g P_k) for every projector of the (K, 4, 4) stack."""
-    return np.real(np.einsum("ij,kji->k", g, projs))
-
-
 @functools.lru_cache(maxsize=8)
 def _setting_model(settings: tuple):
-    """Read-only projectors, design pseudo-inverse, quadratic forms and flat
-    projectors; the rank is checked at ``matrix_rank``'s threshold."""
+    """Read-only flat projectors (K, 16) and design pseudo-inverse (16, K),
+    shared by every fit; the rank is checked at ``matrix_rank``'s threshold."""
     projs = _projector_stack(settings)
     u, s, vh = np.linalg.svd(projs.transpose(0, 2, 1).reshape(-1, 16), full_matrices=False)
     if s.size < 16 or s[-1] <= np.finfo(float).eps * max(len(settings), 16) * s[0]:
         raise ValueError("settings are not informationally complete")
     pinv = (vh.conj().T / s) @ u.conj().T
-    return tuple(_freeze(a) for a in (projs, pinv, _quadratic_forms(projs),
-                                      projs.reshape(-1, 16)))
-
-
-def _measurement_model(records: Sequence[CountRecord]):
-    """Projector stack (K, 4, 4), least-squares solution chi (4, 4) of design
-    @ vec(chi) = counts, and counts (K,) of informationally complete records."""
-    projs, pinv, _, _ = _setting_model(tuple(r.setting for r in records))
-    counts = np.array([float(r.count) for r in records])
-    return projs, (pinv @ counts).reshape(4, 4), counts
+    return _freeze(projs.reshape(-1, 16)), _freeze(pinv)
 
 
 def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
@@ -339,12 +331,14 @@ def tomo_linear(records: Sequence[CountRecord]) -> Operator:
 
     Returns a Hermitian, trace-one estimate; positivity is not guaranteed.
     """
-    _, chi, _ = _measurement_model(records)
-    return Operator(_linear_inversion(chi))
+    _, pinv = _setting_model(tuple(r.setting for r in records))
+    return Operator(_linear_inversion(pinv @ np.array([float(r.count) for r in records])))
 
 
-def _linear_inversion(chi: np.ndarray) -> np.ndarray:
-    """The least-squares solution made Hermitian and trace one."""
+def _linear_inversion(vec_chi: np.ndarray) -> np.ndarray:
+    """The least-squares solution vec(chi) = pinv @ counts as a Hermitian,
+    trace-one 4x4 matrix."""
+    chi = vec_chi.reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
     tr = float(np.real(np.trace(chi)))
     if abs(tr) < 1e-12:
@@ -397,10 +391,10 @@ def _log_likelihood(probs: np.ndarray, counts: np.ndarray, scales: np.ndarray) -
 
 
 def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
-                  scales: np.ndarray, qt: Optional[np.ndarray] = None):
+                  scales: np.ndarray, qt: np.ndarray):
     """Gradient and Hessian of the log-likelihood along the sphere |t| = 1
-    at a unit vector t, the weights w_k = n_k / p_k - N_k and the p_k
-    (``qt``: forms @ t, where the caller has it).
+    at a unit vector t, the weights w_k = n_k / p_k - N_k and the p_k, given
+    ``qt`` = forms @ t (the rows Q_k t, which the line search has computed).
 
     With q_k = t^T Q_k t and W = sum_k w_k Q_k, the gradient is 2 P W t and
     the Hessian P [2 W - 4 sum_k (n_k / q_k^2) (Q_k t)(Q_k t)^T
@@ -408,7 +402,6 @@ def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
     Since rho(t) ignores the scale of t, these are also the derivatives of
     the log-likelihood of rho(t) for steps orthogonal to t.
     """
-    qt = forms @ t if qt is None else qt
     probs = qt @ t
     inverse = np.divide(1.0, probs, out=np.zeros_like(probs), where=counts > 0)
     weights = counts * inverse - scales
@@ -476,28 +469,28 @@ def tomo_mle(
     ascending, and T starts diagonal: the start is the linear estimate with
     its eigenvalues floored at 1e-6.  ``init`` is a 16-vector of Cholesky
     parameters in the computational basis (U = I); one with zero norm, or
-    with zero probability at a setting that has counts, is rejected.
-    ``log_likelihood_history`` holds the log-likelihood at the start, then at
-    each iterate.
+    with zero probability at a setting that has counts, is rejected.  Both
+    starts run one fit on U+ P_k U.  ``log_likelihood_history`` holds the
+    log-likelihood at the start, then at each iterate.
     """
     if _integer_arg("max_iterations", max_iterations) < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    _, pinv, forms, flat_projs = _setting_model(tuple(r.setting for r in records))
+    flat_projs, pinv = _setting_model(tuple(r.setting for r in records))
     counts = np.array([float(r.count) for r in records])
     scales = _record_scales(records)
 
     if init is None:
         # In the eigenbasis of rho_lin, T's zero diagonal entries stay put near a
         # rank-deficient optimum; with U = I they drift and Newton turns linear.
-        # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.
-        vals, basis = np.linalg.eigh(_linear_inversion((pinv @ counts).reshape(4, 4)))
+        vals, basis = np.linalg.eigh(_linear_inversion(pinv @ counts))
         t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
-        forms = _quadratic_forms(flat_projs @ kron(basis.conj(), basis))
     else:
         t = np.asarray(init, dtype=float)
         if t.shape != (16,):
             raise ValueError("init must be a 16-vector of Cholesky parameters")
         basis = np.eye(4)
+    # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.
+    forms = _quadratic_forms(flat_projs @ kron(basis.conj(), basis))
     norm = math.sqrt(t @ t)
     if not (math.isfinite(norm) and norm > 0):
         raise ValueError("init must be finite and nonzero")
@@ -507,10 +500,13 @@ def tomo_mle(
     if ll == -math.inf:
         raise ValueError("init gives zero probability to a setting with counts")
 
-    grad, hess, weights, probs = _newton_terms(t, forms, counts, scales, qt)
-    history = [ll]
-    gap = _gap(weights, probs, flat_projs)
-    while gap > _GAP_TOLERANCE and len(history) <= max_iterations:
+    history = []
+    while True:
+        grad, hess, weights, probs = _newton_terms(t, forms, counts, scales, qt)
+        history.append(ll)
+        gap = _gap(weights, probs, flat_projs)
+        if gap <= _GAP_TOLERANCE or len(history) > max_iterations:
+            break
         step = _newton_step(grad, hess, t)
         slope = float(grad @ step)
         for _ in range(60):
@@ -526,9 +522,6 @@ def tomo_mle(
         else:
             break  # no step raises the likelihood: stop, uncertified
         t, ll = trial, trial_ll
-        grad, hess, weights, probs = _newton_terms(t, forms, counts, scales, qt)
-        history.append(ll)
-        gap = _gap(weights, probs, flat_projs)
 
     tm = _t_from_params(t) @ basis.conj().T
     g = tm.conj().T @ tm

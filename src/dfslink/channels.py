@@ -14,13 +14,12 @@ oracle.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmath import ATOL_STRICT, DensityOperator, _freeze, kron
+from .qmath import ATOL_STRICT, DensityOperator, _freeze, _qubit_indices, kron
 
 __all__ = [
     "DephasingSpec",
@@ -72,8 +71,8 @@ class DephasingSpec:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
-        if b.shape != (2, 2):
-            raise ValueError("dephasing basis must be a 2x2 matrix of column states")
+        if b.shape != (2, 2) or not np.isfinite(b).all():
+            raise ValueError("dephasing basis must be a finite 2x2 matrix of column states")
         if np.max(np.abs(b.conj().T @ b - np.eye(2))) >= ATOL_STRICT:
             raise ValueError("dephasing basis is not orthonormal within 1e-12")
         for name in ("mean_phase", "per_photon_sigma", "delta_sigma"):
@@ -111,11 +110,7 @@ def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
     if jittered and isinstance(photons, (set, frozenset)) and len(photons) > 1:
         raise ValueError("jitter rides on the first photon listed: "
                          "pass an ordered sequence, not a set")
-    idx = list(photons)
-    try:
-        idx = [operator.index(i) for i in idx]
-    except TypeError:
-        raise ValueError(f"channel photon indices must be integers, got {idx}") from None
+    idx = _qubit_indices(photons)
     if not idx:
         raise ValueError("channel photon set is empty")
     if len(set(idx)) < len(idx):

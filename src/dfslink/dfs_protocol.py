@@ -32,7 +32,7 @@ from typing import Dict
 
 import numpy as np
 
-from .channels import DephasingSpec, rotate_basis
+from .channels import DephasingSpec, _channel_photons, rotate_basis
 from .qmath import KET_D, DensityOperator, StateVector, _freeze, tensor
 
 __all__ = [
@@ -77,10 +77,14 @@ class ProtocolInput:
     keep_dbar_branch: bool = False
 
     def __post_init__(self):
-        n = self.state.num_qubits
-        if n < 1:
+        state, spec = self.state, self.channel_spec
+        if not isinstance(state, DensityOperator):
+            raise ValueError(f"state must be a DensityOperator, got {type(state).__name__}")
+        if not isinstance(spec, DephasingSpec):
+            raise ValueError(f"channel_spec must be a DephasingSpec, got {spec!r}")
+        if state.num_qubits < 1:
             raise ValueError("protocol input needs at least the channel qubit S")
-        if abs(self.state.norm - 1.0) > 1e-9:
+        if abs(state.norm - 1.0) > 1e-9:
             raise ValueError("protocol input state must be normalized")
 
 
@@ -124,11 +128,7 @@ def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOp
     with S's bit of j and the opposite bit inserted at S'.
     """
     n = rho.num_qubits
-    if s_index == sprime_index:
-        raise ValueError("channel qubit indices must be distinct")
-    for ix in (s_index, sprime_index):
-        if ix < 0 or ix >= n:
-            raise ValueError(f"qubit index {ix} out of range for {n} qubits")
+    s_index, sprime_index = _channel_photons((s_index, sprime_index), n)
     j = np.arange(2 ** (n - 1))
     s_out = s_index - (sprime_index < s_index)
     bit_s = (j >> (n - 2 - s_out)) & 1

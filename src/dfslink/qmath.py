@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -55,6 +56,14 @@ def _num_qubits(dim: int) -> int:
     if dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
     return dim.bit_length() - 1
+
+
+def _qubit_indices(indices) -> list[int]:
+    """``indices`` as a list of ints; 1.9 or 1.0 is an error, not qubit 1."""
+    try:
+        return [operator.index(i) for i in indices]
+    except TypeError:
+        raise ValueError(f"qubit indices must be integers, got {indices!r}") from None
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,7 +176,7 @@ class DensityOperator:
 class Operator:
     """General linear map between finite-dimensional spaces.
 
-    ``is_unitary=True`` is validated on construction (||U+ U - I||_max < 1e-12).
+    Entries must be finite; ``is_unitary=True`` checks ||U+ U - I||_max < 1e-12.
     """
 
     matrix: np.ndarray
@@ -175,8 +184,8 @@ class Operator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("operator matrix must be two-dimensional")
+        if m.ndim != 2 or not np.isfinite(m).all():
+            raise ValueError("operator matrix must be two-dimensional and finite")
         if self.is_unitary:
             if m.shape[0] != m.shape[1]:
                 raise ValueError("unitary operators must be square")
@@ -229,7 +238,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         Qubit indices to retain, 0 = most significant factor.
     """
     n = rho.num_qubits
-    keep_sorted = sorted(set(int(k) for k in keep))
+    keep_sorted = sorted(set(_qubit_indices(keep)))
     if not keep_sorted:
         raise ValueError("must keep at least one qubit")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
@@ -283,11 +292,11 @@ def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns.
 
-    Raises on inputs that are not Hermitian within 1e-10.
+    Raises on inputs that are not finite or not Hermitian within 1e-10.
     """
     mat = _matrix_of(m)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("eig_hermitian requires a square matrix")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
+        raise ValueError("eig_hermitian requires a finite square matrix")
     if np.max(np.abs(mat - mat.conj().T), initial=0.0) >= ATOL_CHANNEL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     vals, vecs = np.linalg.eigh(mat)

@@ -446,7 +446,7 @@ def test_newton_step_matches_eigh_step_along_fits(rng):
             # of an explicit init.
             t = _params_from_t(np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1].conj().T)
             t /= np.linalg.norm(t)
-            grad, hess, _, _ = _newton_terms(t, forms, counts, scales)
+            grad, hess, _, _ = _newton_terms(t, forms, counts, scales, forms @ t)
             step = _newton_step(grad, hess, t)
             if np.linalg.eigvalsh(np.outer(t, t) - hess)[0] > 0:
                 cholesky_steps += 1
@@ -459,12 +459,12 @@ def test_mle_gradient_matches_finite_differences(rng):
     # which ignores the scale of t.  The evaluator's gradient and Hessian are
     # taken along the sphere |t| = 1, so the finite-difference Hessian is
     # projected onto the tangent plane before comparing.
-    from dfslink.analysis import (_log_likelihood, _measurement_model, _newton_terms,
-                                  _quadratic_forms)
+    from dfslink.analysis import _log_likelihood, _newton_terms, _quadratic_forms
 
     rho = random_density(4, rng)
     records = simulate_counts(rho, tomography_settings(), 2000, seed=7)
-    projs, _, counts = _measurement_model(records)
+    projs = np.array([r.setting.joint_projector() for r in records])
+    counts = np.array([r.count for r in records], dtype=float)
     forms = _quadratic_forms(projs)
     scales = np.array([r.scale for r in records])
 
@@ -474,7 +474,7 @@ def test_mle_gradient_matches_finite_differences(rng):
     t0 = rng.normal(size=16)
     t0[:4] = np.abs(t0[:4]) + 0.5
     t0 /= np.linalg.norm(t0)
-    grad, hess, _, _ = _newton_terms(t0, forms, counts, scales)
+    grad, hess, _, _ = _newton_terms(t0, forms, counts, scales, forms @ t0)
     eps = 1e-6
     steps = eps * np.eye(16)
     num_grad = np.array([(loglik(t0 + e) - loglik(t0 - e)) / (2 * eps) for e in steps])
@@ -966,6 +966,12 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
     pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H")] * 2,
                                          [100.0, math.inf], 1),
                  "totals must be finite and positive", id="inf-total"),
+    pytest.param(lambda: simulate_counts(DensityOperator(np.eye(2) / 2),
+                                         tomography_settings(), 100.0, 1),
+                 "requires a two-qubit state", id="counts-one-qubit"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(),
+                                         [100.0] * 3, 1),
+                 "one per setting", id="totals-wrong-length"),
     pytest.param(lambda: tomo_mle([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
                  "no complete H/V subset", id="no-scale-no-hv"),
     pytest.param(lambda: concurrence(DensityOperator(np.eye(2) / 2)), "two-qubit",

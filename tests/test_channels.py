@@ -330,6 +330,8 @@ def test_spec_rejects_non_finite(name, bad):
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: DephasingSpec(basis=np.eye(3)), "2x2", id="3x3-basis"),
+    pytest.param(lambda: DephasingSpec(basis=[[np.nan, 0], [0, 1]]), "finite",
+                 id="nan-basis"),
     pytest.param(lambda: rotate_basis(UNIFORM, KET_D.density(), ()), "empty",
                  id="no-photons"),
     pytest.param(lambda: rotate_basis(UNIFORM, KET_D.density(), (1,)), "out of range",

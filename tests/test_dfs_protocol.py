@@ -143,15 +143,21 @@ def test_qpg_sift_bad_indices():
         qpg_sift(rho, 1, 1)
     with pytest.raises(ValueError):
         qpg_sift(rho, 0, 2)
+    for index in (1.0, np.float64(1)):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            qpg_sift(rho, index, 0)
 
 
-@pytest.mark.parametrize("state, match", [
-    (DensityOperator(np.eye(2) / 4), "normalized"),
-    (DensityOperator(np.ones((1, 1))), "channel qubit"),
+@pytest.mark.parametrize("args, match", [
+    pytest.param((DensityOperator(np.eye(2) / 4),), "normalized", id="state0-normalized"),
+    pytest.param((DensityOperator(np.ones((1, 1))),), "channel qubit",
+                 id="state1-channel qubit"),
+    pytest.param((np.eye(2) / 2,), "must be a DensityOperator", id="ndarray-state"),
+    pytest.param((KET_D.density(), None), "must be a DephasingSpec", id="none-spec"),
 ])
-def test_protocol_input_rejection_messages(state, match):
+def test_protocol_input_rejection_messages(args, match):
     with pytest.raises(ValueError, match=match):
-        ProtocolInput(state)
+        ProtocolInput(*args)
 
 
 @pytest.mark.parametrize("keep", [False, True])

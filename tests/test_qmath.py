@@ -87,6 +87,8 @@ def test_partial_trace_recovers_factors(rng):
 def test_partial_trace_index_out_of_range():
     with pytest.raises(ValueError):
         partial_trace(prepare_phi_minus().density(), {5})
+    with pytest.raises(ValueError, match="indices must be integers"):
+        partial_trace(prepare_phi_minus().density(), [1.9])
 
 
 def test_apply_kraus_identity():
@@ -177,6 +179,8 @@ def test_eig_hermitian_reconstruction(rng):
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        eig_hermitian(np.full((2, 2), np.nan))
 
 
 def test_state_vector_normalize():
@@ -256,6 +260,8 @@ def test_num_qubits_of_powers_of_two(n):
 def test_unitary_flag_validated():
     with pytest.raises(ValueError):
         Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), is_unitary=True)
+    with pytest.raises(ValueError, match="finite"):
+        Operator(np.full((2, 2), np.nan), is_unitary=True)
 
 
 def test_trace_distance_extremes():
