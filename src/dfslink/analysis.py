@@ -167,6 +167,8 @@ def _chsh_terms(settings: Sequence[float]) -> list:
     """(sign, analyzer pairs) of each term of S = E(a,b) - E(a,b') + E(a',b)
     + E(a',b') for the angles (a, a', b, b'); a term's pairs are
     {a, a+90} x {b, b+90} in the order ++, +-, -+, --."""
+    if len(settings) != 4 or not all(map(math.isfinite, settings)):
+        raise ValueError(f"CHSH settings must be four finite angles, got {settings!r}")
     a, ap, b, bp = settings
     return [(sign, [(ta + da, tb + db) for da in (0.0, 90.0) for db in (0.0, 90.0)])
             for sign, ta, tb in ((1.0, a, b), (-1.0, a, bp), (1.0, ap, b), (1.0, ap, bp))]
@@ -356,14 +358,6 @@ def _t_from_params(t: np.ndarray) -> np.ndarray:
     return m
 
 
-def _params_from_t(m: np.ndarray) -> np.ndarray:
-    t = np.empty(16)
-    t[:4] = np.real(np.diag(m))
-    t[4::2] = m[_BELOW_DIAGONAL].real
-    t[5::2] = m[_BELOW_DIAGONAL].imag
-    return t
-
-
 # _PAIRS[:, a * 16 + b] is the flattened transpose of E_a^+ E_b, with E_a the
 # matrix that parameter a multiplies in T, so that a projector stack times
 # _PAIRS gives every tr(P_k E_a^+ E_b) at once.
@@ -441,7 +435,6 @@ def _integer_arg(name: str, value) -> int:
 
 def tomo_mle(
     records: Sequence[CountRecord],
-    init: Optional[np.ndarray] = None,
     max_iterations: int = 10_000,
 ) -> TomographyResult:
     """Maximum-likelihood state reconstruction with a certified optimum.
@@ -465,12 +458,10 @@ def tomo_mle(
     after ``max_iterations`` steps or when no step raises the likelihood,
     ``converged`` is False.
 
-    By default U holds the eigenvectors of the linear estimate, eigenvalues
-    ascending, and T starts diagonal: the start is the linear estimate with
-    its eigenvalues floored at 1e-6.  ``init`` is a 16-vector of Cholesky
-    parameters in the computational basis (U = I); one with zero norm, or
-    with zero probability at a setting that has counts, is rejected.  Both
-    starts run one fit on U+ P_k U.  ``log_likelihood_history`` holds the
+    U holds the eigenvectors of the linear estimate, eigenvalues ascending,
+    and T starts diagonal: the start is the linear estimate with eigenvalues
+    floored at 1e-6 and the trace restored, so every p_k starts positive.
+    The fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
     """
     if _integer_arg("max_iterations", max_iterations) < 0:
@@ -479,26 +470,15 @@ def tomo_mle(
     counts = np.array([float(r.count) for r in records])
     scales = _record_scales(records)
 
-    if init is None:
-        # In the eigenbasis of rho_lin, T's zero diagonal entries stay put near a
-        # rank-deficient optimum; with U = I they drift and Newton turns linear.
-        vals, basis = np.linalg.eigh(_linear_inversion(pinv @ counts))
-        t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
-    else:
-        t = np.asarray(init, dtype=float)
-        if t.shape != (16,):
-            raise ValueError("init must be a 16-vector of Cholesky parameters")
-        basis = np.eye(4)
+    # In the eigenbasis of rho_lin, T's zero diagonal entries stay put near a
+    # rank-deficient optimum; with U = I they drift and Newton turns linear.
+    vals, basis = np.linalg.eigh(_linear_inversion(pinv @ counts))
+    t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
+    t = t / math.sqrt(t @ t)
     # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.
     forms = _quadratic_forms(flat_projs @ kron(basis.conj(), basis))
-    norm = math.sqrt(t @ t)
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError("init must be finite and nonzero")
-    t = t / norm
     qt = forms @ t
     ll = _log_likelihood(qt @ t, counts, scales)
-    if ll == -math.inf:
-        raise ValueError("init gives zero probability to a setting with counts")
 
     history = []
     while True:

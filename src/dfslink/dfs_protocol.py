@@ -82,6 +82,8 @@ class ProtocolInput:
             raise ValueError(f"state must be a DensityOperator, got {type(state).__name__}")
         if not isinstance(spec, DephasingSpec):
             raise ValueError(f"channel_spec must be a DephasingSpec, got {spec!r}")
+        if not isinstance(self.keep_dbar_branch, (bool, np.bool_)):
+            raise ValueError(f"keep_dbar_branch must be a bool, got {self.keep_dbar_branch!r}")
         if state.num_qubits < 1:
             raise ValueError("protocol input needs at least the channel qubit S")
         if abs(state.norm - 1.0) > 1e-9:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "kron",
     "tensor",
     "partial_trace",
-    "apply_kraus",
     "fidelity_with_pure",
     "eig_hermitian",
     "trace_distance",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 # Construction-time tolerance for hermiticity, trace and unitarity, and the
-# looser tolerance used for channel completeness / positivity checks.
+# looser tolerance used for positivity and eigendecomposition checks.
 ATOL_STRICT = 1e-12
 ATOL_CHANNEL = 1e-10
 
@@ -194,14 +193,6 @@ class Operator:
                 raise ValueError(f"matrix fails unitarity check: residual {err}")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
 
-    @property
-    def dim_in(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.matrix.shape[0]
-
 
 KindType = Union[StateVector, DensityOperator, Operator]
 
@@ -250,33 +241,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         tens = np.trace(tens, axis1=q, axis2=q + m)
     d = 2 ** len(keep_sorted)
     return DensityOperator(tens.reshape(d, d))
-
-
-def apply_kraus(rho: DensityOperator, kraus: Sequence) -> DensityOperator:
-    """Apply sum_i K_i rho K_i^dagger.
-
-    The Kraus set must satisfy sum_i K_i^dagger K_i <= I within 1e-10
-    (equality for trace-preserving channels); trace-decreasing maps return a
-    sub-normalized state whose ``norm`` records the success probability.
-    """
-    mats = [_matrix_of(k) for k in kraus]
-    if not mats:
-        raise ValueError("empty Kraus set")
-    d = rho.dim
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError(f"Kraus operator shape {m.shape} does not match dim {d}")
-    comp = sum(m.conj().T @ m for m in mats)
-    excess = float(np.linalg.eigvalsh(comp - np.eye(d))[-1])
-    if excess > ATOL_CHANNEL:
-        raise ValueError(
-            f"Kraus completeness violated: sum K+K exceeds identity by {excess}"
-        )
-    out = np.zeros((d, d), dtype=complex)
-    for m in mats:
-        out += m @ rho.matrix @ m.conj().T
-    out = 0.5 * (out + out.conj().T)  # scrub rounding asymmetry
-    return DensityOperator(out)
 
 
 def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:

@@ -154,10 +154,20 @@ def test_qpg_sift_bad_indices():
                  id="state1-channel qubit"),
     pytest.param((np.eye(2) / 2,), "must be a DensityOperator", id="ndarray-state"),
     pytest.param((KET_D.density(), None), "must be a DephasingSpec", id="none-spec"),
+    pytest.param((KET_D.density(), UNIFORM, "no"), "keep_dbar_branch must be a bool",
+                 id="string-keep-dbar"),
+    pytest.param((KET_D.density(), UNIFORM, 1), "keep_dbar_branch must be a bool",
+                 id="int-keep-dbar"),
 ])
 def test_protocol_input_rejection_messages(args, match):
     with pytest.raises(ValueError, match=match):
         ProtocolInput(*args)
+
+
+@pytest.mark.parametrize("keep", [True, np.True_])
+def test_protocol_input_keeps_dbar_for_python_and_numpy_bools(keep):
+    out = distribute(ProtocolInput(KET_D.density(), UNIFORM, keep))
+    assert abs(out.branch_probabilities["Dbar_corrected"] - 0.25) < 1e-12
 
 
 @pytest.mark.parametrize("keep", [False, True])

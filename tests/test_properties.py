@@ -2,8 +2,7 @@
 
 The link's Choi matrix is read off the public pipeline: distributing |Phi+>
 of (reference, S) with the Dbar branch kept returns J / (2 p_success).  The
-MLE's Cholesky parameter packing is checked as a round trip, and the
-Kronecker helper against NumPy's ``kron``.
+Kronecker helper is checked against NumPy's ``kron``.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
-from dfslink.analysis import _params_from_t, _t_from_params
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec
 from dfslink.dfs_protocol import ProtocolInput, distribute
 from dfslink.qmath import StateVector, kron
@@ -68,13 +66,6 @@ def test_collective_noise_output_is_state_independent(spec, n, seed, keep):
     out = distribute(ProtocolInput(rho, spec, keep_dbar_branch=keep))
     assert np.max(np.abs(out.state.matrix - rho.matrix)) < 1e-12
     assert abs(out.success_probability - (0.5 if keep else 0.25)) < 1e-12
-
-
-@PROPERTY
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=16, max_size=16))
-def test_cholesky_packing_round_trip(values):
-    t = np.array(values)
-    assert np.array_equal(_params_from_t(_t_from_params(t)), t)
 
 
 entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)

@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from conftest import haar_state, haar_unitary, random_density
+from conftest import haar_state, haar_unitary
 from dfslink.qmath import (
     KET_D,
     KET_DBAR,
@@ -11,7 +13,6 @@ from dfslink.qmath import (
     Operator,
     PAULI_Z,
     StateVector,
-    apply_kraus,
     eig_hermitian,
     fidelity_with_pure,
     partial_trace,
@@ -89,51 +90,6 @@ def test_partial_trace_index_out_of_range():
         partial_trace(prepare_phi_minus().density(), {5})
     with pytest.raises(ValueError, match="indices must be integers"):
         partial_trace(prepare_phi_minus().density(), [1.9])
-
-
-def test_apply_kraus_identity():
-    rho = KET_D.density()
-    out = apply_kraus(rho, [np.eye(2)])
-    np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
-
-
-def test_apply_kraus_full_dephasing():
-    out = apply_kraus(KET_D.density(), [projector(KET_H), projector(KET_V)])
-    np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
-
-
-def test_apply_kraus_projector_norm():
-    # Amplitude bookkeeping oracle: expand phi-minus (x) D over the 8 basis
-    # kets and keep the |HV>, |VH> components of the last two qubits by hand.
-    state = tensor(prepare_phi_minus(), KET_D)
-    amp = state.amplitudes
-    keep = []
-    for i in range(8):
-        b = [(i >> k) & 1 for k in (2, 1, 0)]
-        keep.append((b[1], b[2]) in ((0, 1), (1, 0)))
-    expected_norm = float(np.sum(np.abs(amp[np.array(keep)]) ** 2))
-    proj = np.diag(np.array(keep, dtype=complex))
-    out = apply_kraus(state.density(), [proj])
-    assert abs(out.norm - expected_norm) < 1e-12
-    assert abs(out.norm - 0.5) < 1e-12
-
-
-def test_apply_kraus_completeness_violation():
-    with pytest.raises(ValueError):
-        apply_kraus(KET_H.density(), [np.eye(2) * 1.1])
-
-
-def test_apply_kraus_random_channels_preserve_state_axioms(rng):
-    # Complete Kraus sets from random Stinespring isometries.
-    dim, n_env = 4, 3
-    for _ in range(1000):
-        z = rng.normal(size=(dim * n_env, dim)) + 1j * rng.normal(size=(dim * n_env, dim))
-        q, _ = np.linalg.qr(z)
-        kraus = [q[k * dim:(k + 1) * dim, :] for k in range(n_env)]
-        rho = random_density(dim, rng)
-        out = apply_kraus(rho, kraus)
-        assert abs(out.norm - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
 
 
 def test_fidelity_examples():
@@ -277,3 +233,10 @@ def test_unitary_invariance_of_fidelity(rng):
     rho = DensityOperator(u @ phi.density().matrix @ u.conj().T)
     rotated = StateVector(u @ phi.amplitudes)
     assert abs(fidelity_with_pure(rho, rotated) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("module", ["qmath", "channels", "dfs_protocol", "analysis"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"dfslink.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
