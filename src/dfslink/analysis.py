@@ -34,7 +34,6 @@ from .qmath import (
     PAULI_Y,
     PAULI_Z,
     DensityOperator,
-    Operator,
     StateVector,
     eig_hermitian,
     kron,
@@ -142,6 +141,8 @@ class CountRecord:
     scale: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.setting, MeasSetting):
+            raise ValueError(f"setting must be a MeasSetting, got {self.setting!r}")
         if not (math.isfinite(self.count) and self.count >= 0):
             raise ValueError("counts must be finite and non-negative")
         if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
@@ -174,19 +175,20 @@ def _chsh_terms(settings: Sequence[float]) -> list:
             for sign, ta, tb in ((1.0, a, b), (-1.0, a, bp), (1.0, ap, b), (1.0, ap, bp))]
 
 
-def chsh_value(rho, settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> float:
-    """Bell parameter S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
+def chsh_value(rho: DensityOperator,
+               settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> float:
+    """Bell parameter S = E(a,b) - E(a,b') + E(a',b) + E(a',b') of a
+    two-qubit ``DensityOperator``; any other input is a ``ValueError``.
 
     E(ta, tb) is the expectation of sigma(ta) (x) sigma(tb) with
     sigma(t) = cos(2t) Z + sin(2t) X; angles in degrees.
     """
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    if mat.shape != (4, 4):
-        raise ValueError("chsh_value requires a two-qubit state")
+    if not isinstance(rho, DensityOperator) or rho.dim != 4:
+        raise ValueError("chsh_value requires a two-qubit DensityOperator")
 
     def corr(ta, tb):
         obs = kron(_pauli_observable(ta), _pauli_observable(tb))
-        return float(np.real(np.trace(mat @ obs)))
+        return float(np.real(np.trace(rho.matrix @ obs)))
 
     return sum(sign * corr(*pairs[0]) for sign, pairs in _chsh_terms(settings))
 
@@ -328,13 +330,14 @@ def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
     return np.where(np.isnan(scales), total, scales)
 
 
-def tomo_linear(records: Sequence[CountRecord]) -> Operator:
+def tomo_linear(records: Sequence[CountRecord]) -> np.ndarray:
     """Linear inversion of measured frequencies.
 
-    Returns a Hermitian, trace-one estimate; positivity is not guaranteed.
+    Returns a read-only, complex, Hermitian, trace-one 4x4 array.  Positivity
+    is not guaranteed, so it is not a ``DensityOperator``.
     """
     _, pinv = _setting_model(tuple(r.setting for r in records))
-    return Operator(_linear_inversion(pinv @ np.array([float(r.count) for r in records])))
+    return _freeze(_linear_inversion(pinv @ np.array([float(r.count) for r in records])))
 
 
 def _linear_inversion(vec_chi: np.ndarray) -> np.ndarray:
@@ -528,8 +531,8 @@ def concurrence(rho: DensityOperator) -> float:
     root of a near-zero number is taken, so rank-deficient states keep full
     precision.
     """
-    if rho.dim != 4:
-        raise ValueError("concurrence requires a two-qubit state")
+    if not isinstance(rho, DensityOperator) or rho.dim != 4:
+        raise ValueError("concurrence requires a two-qubit DensityOperator")
     vals, vecs = eig_hermitian(rho.matrix)
     keep = vals > 1e-14 * vals[0]
     if not keep.any():

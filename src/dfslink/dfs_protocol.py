@@ -154,6 +154,8 @@ def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     sub-normalized input; ``sift_fail`` = 1 - norm holds the rest, so the
     branches sum to one.
     """
+    if not isinstance(keep_dbar, (bool, np.bool_)):
+        raise ValueError(f"keep_dbar must be a bool, got {keep_dbar!r}")
     p_branch = 0.5 * rho.norm
     dbar = "Dbar_corrected" if keep_dbar else "Dbar_discarded"
     branches = {"D": p_branch, dbar: p_branch, "sift_fail": 1.0 - rho.norm}

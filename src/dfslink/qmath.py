@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "StateVector",
     "DensityOperator",
-    "Operator",
     "kron",
     "tensor",
     "partial_trace",
@@ -40,8 +39,8 @@ __all__ = [
     "PAULI_Z",
 ]
 
-# Construction-time tolerance for hermiticity, trace and unitarity, and the
-# looser tolerance used for positivity and eigendecomposition checks.
+# Construction-time tolerance for hermiticity and trace, and the looser
+# tolerance used for positivity and eigendecomposition checks.
 ATOL_STRICT = 1e-12
 ATOL_CHANNEL = 1e-10
 
@@ -119,11 +118,6 @@ class StateVector:
         """Return |psi><psi| (sub-normalized if the vector is)."""
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "StateVector") -> complex:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -171,47 +165,14 @@ class DensityOperator:
         return DensityOperator(self.matrix / self.norm)
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """General linear map between finite-dimensional spaces.
-
-    Entries must be finite; ``is_unitary=True`` checks ||U+ U - I||_max < 1e-12.
-    """
-
-    matrix: np.ndarray
-    is_unitary: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or not np.isfinite(m).all():
-            raise ValueError("operator matrix must be two-dimensional and finite")
-        if self.is_unitary:
-            if m.shape[0] != m.shape[1]:
-                raise ValueError("unitary operators must be square")
-            err = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if err >= ATOL_STRICT:
-                raise ValueError(f"matrix fails unitarity check: residual {err}")
-        object.__setattr__(self, "matrix", _freeze(m.copy()))
-
-
-KindType = Union[StateVector, DensityOperator, Operator]
-
-
-def _matrix_of(x) -> np.ndarray:
-    if isinstance(x, (DensityOperator, Operator)):
-        return x.matrix
-    return np.asarray(x, dtype=complex)
-
-
-def tensor(a: KindType, b: KindType) -> KindType:
-    """Kronecker product of two like objects, a's indices most significant."""
+def tensor(a: StateVector | DensityOperator,
+           b: StateVector | DensityOperator) -> StateVector | DensityOperator:
+    """Kronecker product of two ``StateVector``s or two ``DensityOperator``s,
+    a's indices most significant."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         return DensityOperator(kron(a.matrix, b.matrix))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(kron(a.matrix, b.matrix),
-                        is_unitary=a.is_unitary and b.is_unitary)
     raise TypeError(
         f"tensor requires two objects of the same kind, got "
         f"{type(a).__name__} and {type(b).__name__}"
@@ -247,6 +208,8 @@ def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:
     """<psi| rho |psi> for a normalized pure target, clipped to [0, 1]."""
     if psi.dim != rho.dim:
         raise ValueError(f"dimension mismatch: rho {rho.dim}, psi {psi.dim}")
+    if abs(psi.norm() - 1.0) > 1e-9:
+        raise ValueError(f"target state must be normalized, got norm {psi.norm()}")
     val = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
     if abs(val.imag) >= ATOL_STRICT:
         raise ValueError(f"fidelity came out complex: {val}")
@@ -254,11 +217,11 @@ def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns.
+    """Eigenvalues (descending) and matching eigenvector columns of array ``m``.
 
     Raises on inputs that are not finite or not Hermitian within 1e-10.
     """
-    mat = _matrix_of(m)
+    mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
         raise ValueError("eig_hermitian requires a finite square matrix")
     if np.max(np.abs(mat - mat.conj().T), initial=0.0) >= ATOL_CHANNEL:

@@ -335,20 +335,22 @@ def exact_records(rho, total=1e6):
 
 def test_tomo_linear_exact_bell():
     est = tomo_linear(exact_records(PHI.density()))
-    np.testing.assert_allclose(est.matrix, PHI.density().matrix, atol=1e-10)
+    np.testing.assert_allclose(est, PHI.density().matrix, atol=1e-10)
 
 
 def test_tomo_linear_exact_mixed():
     est = tomo_linear(exact_records(DensityOperator(np.eye(4) / 4)))
-    np.testing.assert_allclose(est.matrix, np.eye(4) / 4, atol=1e-10)
+    np.testing.assert_allclose(est, np.eye(4) / 4, atol=1e-10)
 
 
 def test_tomo_linear_always_hermitian_trace_one(rng):
     rho = haar_state(4, rng).density()
     records = simulate_counts(rho, tomography_settings(), 300, seed=3)
     est = tomo_linear(records)
-    np.testing.assert_allclose(est.matrix, est.matrix.conj().T, atol=1e-14)
-    assert abs(np.trace(est.matrix) - 1.0) < 1e-12
+    assert est.dtype == complex and est.shape == (4, 4)
+    assert not est.flags.writeable
+    np.testing.assert_allclose(est, est.conj().T, atol=1e-14)
+    assert abs(np.trace(est) - 1.0) < 1e-12
 
 
 def test_tomo_linear_matches_lstsq_oracle(rng):
@@ -360,7 +362,7 @@ def test_tomo_linear_matches_lstsq_oracle(rng):
         counts = np.array([r.count for r in records], dtype=complex)
         chi = np.linalg.lstsq(design, counts, rcond=None)[0].reshape(4, 4)
         chi = 0.5 * (chi + chi.conj().T)
-        np.testing.assert_allclose(tomo_linear(records).matrix, chi / np.trace(chi).real,
+        np.testing.assert_allclose(tomo_linear(records), chi / np.trace(chi).real,
                                    rtol=0, atol=1e-12)
 
 
@@ -523,7 +525,7 @@ def test_tomo_mle_default_start_is_projected_linear_estimate(rng):
     # the trace restored, and its Poisson log-likelihood setting by setting.
     rho = random_density(4, rng, rank=2)
     records = simulate_counts(rho, tomography_settings(), 1000, seed=21)
-    vals, vecs = np.linalg.eigh(tomo_linear(records).matrix)
+    vals, vecs = np.linalg.eigh(tomo_linear(records))
     rho_lin = (vecs * np.maximum(vals, 1e-6)) @ vecs.conj().T
     rho_lin /= np.trace(rho_lin).real
     start = tomo_mle(records, max_iterations=0)
@@ -558,7 +560,7 @@ def test_tomo_mle_start_gives_every_setting_positive_probability():
         started += 1
         start = tomo_mle(records, max_iterations=0)
         assert math.isfinite(start.log_likelihood)
-        floor = 1e-6 / np.maximum(np.linalg.eigvalsh(tomo_linear(records).matrix), 1e-6).sum()
+        floor = 1e-6 / np.maximum(np.linalg.eigvalsh(tomo_linear(records)), 1e-6).sum()
         probs = [np.real(np.trace(start.rho_hat.matrix @ r.setting.joint_projector()))
                  for r in records]
         assert min(probs) > 0 and min(probs) >= floor * (1 - 1e-9)
@@ -972,6 +974,16 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  "no complete H/V subset", id="no-scale-no-hv"),
     pytest.param(lambda: concurrence(DensityOperator(np.eye(2) / 2)), "two-qubit",
                  id="concurrence-one-qubit"),
+    pytest.param(lambda: concurrence(tomo_linear(exact_records(PHI.density()))), "two-qubit",
+                 id="concurrence-ndarray"),
+    pytest.param(lambda: chsh_value(tomo_linear(exact_records(PHI.density()))), "two-qubit",
+                 id="chsh-ndarray"),
+    pytest.param(lambda: chsh_value(np.full((4, 4), np.nan)), "two-qubit",
+                 id="chsh-nan-ndarray"),
+    pytest.param(lambda: chsh_value(5 * np.ones((4, 4))), "two-qubit",
+                 id="chsh-unphysical-ndarray"),
+    pytest.param(lambda: CountRecord("HH", 3), "setting must be a MeasSetting",
+                 id="string-setting"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=1),
                  "at least two resamples", id="one-resample"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), _raise, n_resamples=3),

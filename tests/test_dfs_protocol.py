@@ -53,7 +53,7 @@ def test_prepare_ancilla():
     anc = prepare_ancilla()
     s = 1 / np.sqrt(2)
     np.testing.assert_allclose(anc.amplitudes, [s, s], atol=1e-15)
-    assert abs(anc.overlap(KET_DBAR)) < 1e-15
+    assert abs(np.vdot(anc.amplitudes, KET_DBAR.amplitudes)) < 1e-15
     from dfslink.channels import collective_dephase
 
     out = collective_dephase(anc.density(), {0}, UNIFORM)
@@ -168,6 +168,12 @@ def test_protocol_input_rejection_messages(args, match):
 def test_protocol_input_keeps_dbar_for_python_and_numpy_bools(keep):
     out = distribute(ProtocolInput(KET_D.density(), UNIFORM, keep))
     assert abs(out.branch_probabilities["Dbar_corrected"] - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("keep", ["no", 1, None])
+def test_decode_rejects_non_bool_keep_dbar(keep):
+    with pytest.raises(ValueError, match="keep_dbar must be a bool"):
+        decode(DensityOperator(np.eye(2) / 2), keep_dbar=keep)
 
 
 @pytest.mark.parametrize("keep", [False, True])

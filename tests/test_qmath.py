@@ -10,11 +10,11 @@ from dfslink.qmath import (
     KET_H,
     KET_V,
     DensityOperator,
-    Operator,
     PAULI_Z,
     StateVector,
     eig_hermitian,
     fidelity_with_pure,
+    kron,
     partial_trace,
     projector,
     tensor,
@@ -26,13 +26,6 @@ from dfslink.dfs_protocol import prepare_phi_minus
 def test_tensor_basis_bookkeeping():
     hv = tensor(KET_H, KET_V)
     np.testing.assert_allclose(hv.amplitudes, [0, 1, 0, 0], atol=1e-15)
-
-
-def test_tensor_identity_operators():
-    i2 = Operator(np.eye(2), is_unitary=True)
-    i4 = tensor(i2, i2)
-    assert i4.is_unitary
-    np.testing.assert_allclose(i4.matrix, np.eye(4), atol=1e-15)
 
 
 def test_tensor_kind_mismatch():
@@ -48,10 +41,10 @@ def test_tensor_associative(rng):
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
     np.testing.assert_allclose(left.matrix, right.matrix, atol=0)
-    ops = [Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3)]
+    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
     np.testing.assert_allclose(
-        tensor(tensor(ops[0], ops[1]), ops[2]).matrix,
-        tensor(ops[0], tensor(ops[1], ops[2])).matrix,
+        kron(kron(ops[0], ops[1]), ops[2]),
+        kron(ops[0], kron(ops[1], ops[2])),
         atol=0,
     )
 
@@ -107,6 +100,17 @@ def test_fidelity_examples():
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
         fidelity_with_pure(KET_H.density(), prepare_phi_minus())
+
+
+@pytest.mark.parametrize("amplitudes", [[3.0, 0.0], [0.5, 0.0], [0.0, 0.0],
+                                        [1.0 + 2e-9, 0.0]])
+def test_fidelity_rejects_unnormalized_target(amplitudes):
+    with pytest.raises(ValueError, match="target state must be normalized"):
+        fidelity_with_pure(KET_H.density(), StateVector(amplitudes))
+
+
+def test_fidelity_accepts_target_normalized_within_rounding():
+    assert fidelity_with_pure(KET_H.density(), StateVector([1.0 + 5e-10, 0.0])) == 1.0
 
 
 def test_eig_hermitian_pauli_z():
@@ -211,13 +215,6 @@ def test_num_qubits_rejects_non_power_of_two(dim):
 def test_num_qubits_of_powers_of_two(n):
     assert DensityOperator(np.eye(2**n) / 2**n).num_qubits == n
     assert StateVector(np.ones(2**n)).num_qubits == n
-
-
-def test_unitary_flag_validated():
-    with pytest.raises(ValueError):
-        Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), is_unitary=True)
-    with pytest.raises(ValueError, match="finite"):
-        Operator(np.full((2, 2), np.nan), is_unitary=True)
 
 
 def test_trace_distance_extremes():
