@@ -4,22 +4,24 @@ A polarization-maintaining fibre transmits the two basis polarizations
 faithfully but scrambles their relative phase.  Photons sent through it
 within the phase correlation time pick up a *common* random phase
 (collective dephasing); a residual inter-photon jitter can be added on top.
-All maps here are computed analytically: an off-diagonal element whose
-channel photons differ by m excitations of the dephasing basis state 1 is
-multiplied by the characteristic function E[exp(i m phi)] of the phase
-distribution.  A Monte-Carlo phase-sampling route exists only as a test
-oracle.
+One kernel, :func:`rotate_basis`, computes every map here analytically: in
+the spec's basis, an off-diagonal element whose channel photons differ by m
+excitations of basis state 1 is multiplied by the characteristic function
+E[exp(i m phi)] of the phase distribution.  :func:`collective_dephase`,
+:func:`correlated_dephase` and :func:`apply_phase_damping` check the
+preconditions of their H/V case and call it.  A Monte-Carlo phase-sampling
+route exists only as a test oracle.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmath import ATOL_STRICT, DensityOperator, _freeze, _qubit_indices, kron
+from .qmath import (ATOL_STRICT, DensityOperator, _freeze, _qubit_indices, _require_state,
+                    kron)
 
 __all__ = [
     "DephasingSpec",
@@ -68,6 +70,8 @@ class DephasingSpec:
     per_photon_sigma: float = 0.0
     delta_sigma: float = 0.0
     distribution: str = "uniform"
+    # Worked out once per spec: every dephasing call asks for it.
+    _computational: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
@@ -83,11 +87,13 @@ class DephasingSpec:
         if self.distribution not in ("uniform", "gaussian"):
             raise ValueError(f"unknown phase distribution {self.distribution!r}")
         object.__setattr__(self, "basis", _freeze(b.copy()))
+        object.__setattr__(self, "_computational",
+                           bool(np.max(np.abs(b - np.eye(2))) < ATOL_STRICT))
 
     def is_computational(self) -> bool:
-        return bool(np.max(np.abs(self.basis - np.eye(2))) < ATOL_STRICT)
+        return self._computational
 
-    def characteristic(self, m, m_jitter=0) -> np.ndarray:
+    def characteristic(self, m, m_jitter) -> np.ndarray:
         """E[exp(i (m phi + m_jitter delta))], elementwise over integer arrays.
 
         ``phi`` is the common phase and ``delta`` the zero-mean gaussian
@@ -127,41 +133,35 @@ def _occupation(n: int, photons: tuple[int, ...]) -> np.ndarray:
     return _freeze(((np.arange(2**n)[:, None] >> shifts) & 1).sum(axis=1))
 
 
-def _excitation_difference(n: int, photons: Sequence[int]) -> np.ndarray:
-    """m[i, j]: the number of ``photons`` in basis state 1 in ket i minus
-    that in ket j."""
-    k = _occupation(n, tuple(photons))
-    return k[:, None] - k[None, :]
+def _check_stage(spec, rho, hv_only: bool = False) -> None:
+    """The argument kinds every entry point checks; ``hv_only`` adds H/V."""
+    _require_state(rho)
+    if not isinstance(spec, DephasingSpec):
+        raise ValueError(f"spec must be a DephasingSpec, got {spec!r}")
+    if hv_only and not spec.is_computational():
+        raise ValueError("non-computational dephasing basis: route through rotate_basis")
 
 
-def apply_phase_damping(
-    rho: DensityOperator,
-    photons,
-    damping: Callable[[np.ndarray], np.ndarray],
-) -> DensityOperator:
-    """Scale each off-diagonal block by a function of the difference in
-    channel basis-1 occupation between bra and ket.
+def apply_phase_damping(rho: DensityOperator, photons, spec: DephasingSpec) -> DensityOperator:
+    """:func:`rotate_basis` for an H/V spec: the phase damping alone.
 
-    ``damping`` receives the integer difference matrix and must return the
-    complex multipliers elementwise.
+    Kept under this name for ``benchmarks/tracer.py``, which traces it.
     """
-    n = rho.num_qubits
-    diff = _excitation_difference(n, _channel_photons(photons, n))
-    return DensityOperator(rho.matrix * damping(diff))
+    _check_stage(spec, rho, hv_only=True)
+    return rotate_basis(spec, rho, photons)
 
 
 def collective_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> DensityOperator:
     """All channel photons receive one common random phase.
 
-    Requires ``spec.delta_sigma == 0`` (use :func:`correlated_dephase` for
-    residual jitter) and a computational-basis spec (use
-    :func:`rotate_basis` for other bases).
+    :func:`rotate_basis` for a computational-basis spec (use it directly for
+    other bases) with ``spec.delta_sigma == 0`` (use
+    :func:`correlated_dephase` for residual jitter).
     """
+    _check_stage(spec, rho, hv_only=True)
     if spec.delta_sigma != 0.0:
         raise ValueError("delta_sigma != 0: route through correlated_dephase")
-    if not spec.is_computational():
-        raise ValueError("non-computational dephasing basis: route through rotate_basis")
-    return apply_phase_damping(rho, photons, spec.characteristic)
+    return rotate_basis(spec, rho, photons)
 
 
 def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> DensityOperator:
@@ -172,10 +172,9 @@ def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> De
     spread ``delta_sigma``.  Each off-diagonal picks up
     E[exp(i(m_s phi_s + m_s' phi_s'))], which factorizes into the common
     characteristic function at m_s + m_s' and a gaussian damping at m_s:
-    :func:`rotate_basis` in the H/V basis.
+    :func:`rotate_basis` for an H/V spec and exactly two photons.
     """
-    if not spec.is_computational():
-        raise ValueError("non-computational dephasing basis: route through rotate_basis")
+    _check_stage(spec, rho, hv_only=True)
     pair = _channel_photons(photons, rho.num_qubits, spec.delta_sigma != 0.0)
     if len(pair) != 2:
         raise ValueError("correlated_dephase requires exactly two channel photons")
@@ -185,21 +184,26 @@ def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> De
 def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityOperator:
     """Dephase the channel photons in the spec's single-qubit basis.
 
-    The general channel kernel: conjugates the channel photons into the spec
-    basis, multiplies every matrix element by
-    ``spec.characteristic(m_all, m_first)`` and conjugates back.  The jitter
-    rides on the first photon listed, so jitter needs one photon or an
-    ordered pair.
+    The one channel kernel: multiplies every matrix element, taken in the
+    spec basis on the channel photons, by
+    ``spec.characteristic(m_all, m_first)``.  An H/V spec multiplies the
+    state's matrix as it is; other bases conjugate the channel photons into
+    the spec basis and back.  The jitter rides on the first photon listed,
+    so jitter needs one photon or an ordered pair.
     """
+    _check_stage(spec, rho)
     n = rho.num_qubits
     ordered = _channel_photons(photons, n, spec.delta_sigma != 0.0)
     if spec.delta_sigma != 0.0 and len(ordered) > 2:
         raise ValueError("correlated dephasing needs one photon or an ordered pair")
-    w = np.array([[1.0]], dtype=complex)
-    binv = spec.basis.conj().T
-    for q in range(n):
-        w = kron(w, binv if q in ordered else _IDENTITY_2)
-    damping = spec.characteristic(_excitation_difference(n, ordered),
-                                  _excitation_difference(n, ordered[:1]))
-    rotated = w @ rho.matrix @ w.conj().T
-    return DensityOperator(w.conj().T @ (rotated * damping) @ w)
+    # Excitation differences ket minus bra: of all channel photons, of the first.
+    k, k1 = (_occupation(n, tuple(p)) for p in (ordered, ordered[:1]))
+    damping = spec.characteristic(k[:, None] - k, k1[:, None] - k1)
+    rotated = not spec.is_computational()  # in H/V the basis change is the identity
+    if rotated:
+        w = np.array([[1.0]], dtype=complex)
+        binv = spec.basis.conj().T
+        for q in range(n):
+            w = kron(w, binv if q in ordered else _IDENTITY_2)
+    m = (w @ rho.matrix @ w.conj().T if rotated else rho.matrix) * damping
+    return DensityOperator(w.conj().T @ m @ w if rotated else m)

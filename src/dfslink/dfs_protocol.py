@@ -33,7 +33,7 @@ from typing import Dict
 import numpy as np
 
 from .channels import DephasingSpec, _channel_photons, rotate_basis
-from .qmath import KET_D, DensityOperator, StateVector, _freeze, tensor
+from .qmath import KET_D, DensityOperator, StateVector, _freeze, _require_state, tensor
 
 __all__ = [
     "ProtocolInput",
@@ -78,8 +78,7 @@ class ProtocolInput:
 
     def __post_init__(self):
         state, spec = self.state, self.channel_spec
-        if not isinstance(state, DensityOperator):
-            raise ValueError(f"state must be a DensityOperator, got {type(state).__name__}")
+        _require_state(state)
         if not isinstance(spec, DephasingSpec):
             raise ValueError(f"channel_spec must be a DephasingSpec, got {spec!r}")
         if not isinstance(self.keep_dbar_branch, (bool, np.bool_)):
@@ -129,6 +128,7 @@ def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOp
     rotation of the long-arm photon, so each output ket j is the input ket
     with S's bit of j and the opposite bit inserted at S'.
     """
+    _require_state(rho)
     n = rho.num_qubits
     s_index, sprime_index = _channel_photons((s_index, sprime_index), n)
     j = np.arange(2 ** (n - 1))
@@ -154,6 +154,7 @@ def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     sub-normalized input; ``sift_fail`` = 1 - norm holds the rest, so the
     branches sum to one.
     """
+    _require_state(rho)
     if not isinstance(keep_dbar, (bool, np.bool_)):
         raise ValueError(f"keep_dbar must be a bool, got {keep_dbar!r}")
     p_branch = 0.5 * rho.norm

@@ -165,6 +165,11 @@ class DensityOperator:
         return DensityOperator(self.matrix / self.norm)
 
 
+def _require_state(rho) -> None:
+    if not isinstance(rho, DensityOperator):
+        raise ValueError(f"state must be a DensityOperator, got {type(rho).__name__}")
+
+
 def tensor(a: StateVector | DensityOperator,
            b: StateVector | DensityOperator) -> StateVector | DensityOperator:
     """Kronecker product of two ``StateVector``s or two ``DensityOperator``s,
@@ -189,6 +194,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     keep : iterable of int
         Qubit indices to retain, 0 = most significant factor.
     """
+    _require_state(rho)
     n = rho.num_qubits
     keep_sorted = sorted(set(_qubit_indices(keep)))
     if not keep_sorted:
@@ -206,6 +212,9 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 
 def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:
     """<psi| rho |psi> for a normalized pure target, clipped to [0, 1]."""
+    _require_state(rho)
+    if not isinstance(psi, StateVector):
+        raise ValueError(f"target must be a StateVector, got {type(psi).__name__}")
     if psi.dim != rho.dim:
         raise ValueError(f"dimension mismatch: rho {rho.dim}, psi {psi.dim}")
     if abs(psi.norm() - 1.0) > 1e-9:
@@ -221,7 +230,10 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
     Raises on inputs that are not finite or not Hermitian within 1e-10.
     """
-    mat = np.asarray(m, dtype=complex)
+    try:
+        mat = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):  # not array-like, e.g. a DensityOperator
+        mat = np.empty(0)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
         raise ValueError("eig_hermitian requires a finite square matrix")
     if np.max(np.abs(mat - mat.conj().T), initial=0.0) >= ATOL_CHANNEL:
@@ -233,6 +245,8 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) ||a - b||_1 between two states of equal dimension."""
+    _require_state(a)
+    _require_state(b)
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     diff = a.matrix - b.matrix

@@ -36,6 +36,7 @@ from dfslink.qmath import (
     DensityOperator,
     StateVector,
     fidelity_with_pure,
+    partial_trace,
     tensor,
     trace_distance,
     KET_H,
@@ -982,6 +983,14 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  id="chsh-nan-ndarray"),
     pytest.param(lambda: chsh_value(5 * np.ones((4, 4))), "two-qubit",
                  id="chsh-unphysical-ndarray"),
+    pytest.param(lambda: fidelity_with_pure(KET_H.density(), np.array([1, 0])),
+                 "target must be a StateVector", id="fidelity-ndarray-target"),
+    pytest.param(lambda: fidelity_with_pure(np.eye(2) / 2, KET_H),
+                 "state must be a DensityOperator", id="fidelity-ndarray-state"),
+    pytest.param(lambda: trace_distance(KET_H.density(), np.eye(2) / 2),
+                 "state must be a DensityOperator", id="trace-distance-ndarray"),
+    pytest.param(lambda: partial_trace(PHI.density().matrix, [0]),
+                 "state must be a DensityOperator", id="partial-trace-ndarray"),
     pytest.param(lambda: CountRecord("HH", 3), "setting must be a MeasSetting",
                  id="string-setting"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=1),

@@ -5,11 +5,12 @@ averages, independent of the characteristic-function implementation."""
 import numpy as np
 import pytest
 
-from conftest import haar_state
+from conftest import haar_state, random_density
 from dfslink.channels import (
     CIRCULAR_BASIS,
     DephasingSpec,
     _occupation,
+    apply_phase_damping,
     collective_dephase,
     correlated_dephase,
     rotate_basis,
@@ -242,6 +243,22 @@ def test_rotate_basis_identity_basis_matches_plain_call(rng):
     b = collective_dephase(psi.density(), {0, 1}, spec)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
     assert np.array_equal(a.matrix, b.matrix)
+    # Column phases leave the dephasing unchanged, but such a basis is not H/V,
+    # so it takes the conjugation path; in H/V, apply_phase_damping is
+    # rotate_basis bit for bit.
+    phased = np.diag(np.exp([0.3j, -1.1j]))
+    for n in range(1, 5):
+        for delta in (0.0, 0.7):
+            kw = dict(mean_phase=0.4, per_photon_sigma=0.3, delta_sigma=delta,
+                      distribution="gaussian")
+            hv, rotated = DephasingSpec(**kw), DephasingSpec(basis=phased, **kw)
+            assert hv.is_computational() and not rotated.is_computational()
+            rho = random_density(2**n, rng)
+            photons = [n - 1, 0][:n] if delta else list(range(n))
+            a = rotate_basis(hv, rho, photons)
+            b = rotate_basis(rotated, rho, photons)
+            assert np.max(np.abs(a.matrix - b.matrix)) < 1e-14
+            assert apply_phase_damping(rho, photons, hv).matrix.tobytes() == a.matrix.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -346,6 +363,26 @@ def test_spec_rejects_non_finite(name, bad):
     pytest.param(lambda: correlated_dephase(tensor(KET_D.density(), KET_D.density()),
                                             (0, 1), DephasingSpec(basis=CIRCULAR_BASIS)),
                  "rotate_basis", id="correlated-circular"),
+    pytest.param(lambda: apply_phase_damping(KET_D.density(), (0,),
+                                             DephasingSpec(basis=CIRCULAR_BASIS)),
+                 "rotate_basis", id="apply-phase-damping-circular"),
+    pytest.param(lambda: rotate_basis(UNIFORM, np.eye(4) / 4, [0]),
+                 "state must be a DensityOperator", id="rotate-basis-ndarray-state"),
+    pytest.param(lambda: rotate_basis(None, KET_D.density(), [0]),
+                 "spec must be a DephasingSpec", id="rotate-basis-none-spec"),
+    pytest.param(lambda: collective_dephase(np.eye(2) / 2, [0], UNIFORM),
+                 "state must be a DensityOperator", id="collective-ndarray-state"),
+    pytest.param(lambda: collective_dephase(KET_D.density(), [0], None),
+                 "spec must be a DephasingSpec", id="collective-none-spec"),
+    pytest.param(lambda: correlated_dephase(np.eye(4) / 4, (0, 1), UNIFORM),
+                 "state must be a DensityOperator", id="correlated-ndarray-state"),
+    pytest.param(lambda: correlated_dephase(tensor(KET_D.density(), KET_D.density()),
+                                            (0, 1), None),
+                 "spec must be a DephasingSpec", id="correlated-none-spec"),
+    pytest.param(lambda: apply_phase_damping(np.eye(2) / 2, [0], UNIFORM),
+                 "state must be a DensityOperator", id="apply-phase-damping-ndarray-state"),
+    pytest.param(lambda: apply_phase_damping(KET_D.density(), [0], None),
+                 "spec must be a DephasingSpec", id="apply-phase-damping-none-spec"),
 ])
 def test_channel_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):

@@ -176,6 +176,15 @@ def test_decode_rejects_non_bool_keep_dbar(keep):
         decode(DensityOperator(np.eye(2) / 2), keep_dbar=keep)
 
 
+@pytest.mark.parametrize("stage", [
+    pytest.param(lambda rho: qpg_sift(rho, 0, 1), id="qpg_sift"),
+    pytest.param(decode, id="decode"),
+])
+def test_stages_reject_a_state_that_is_no_density_operator(stage):
+    with pytest.raises(ValueError, match="state must be a DensityOperator"):
+        stage(np.eye(4) / 4)
+
+
 @pytest.mark.parametrize("keep", [False, True])
 def test_decode_of_zero_state(keep):
     out = decode(DensityOperator(np.zeros((4, 4))), keep_dbar=keep)

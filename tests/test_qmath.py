@@ -141,6 +141,8 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="finite"):
         eig_hermitian(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="finite square matrix"):
+        eig_hermitian(KET_H.density())
 
 
 def test_state_vector_normalize():
