@@ -11,11 +11,17 @@ E[exp(i m phi)] of the phase distribution.  :func:`collective_dephase`,
 :func:`correlated_dephase` and :func:`apply_phase_damping` check the
 preconditions of their H/V case and call it.  A Monte-Carlo phase-sampling
 route exists only as a test oracle.
+
+Tables that depend only on the register shape (the excitation-difference
+grids), or on it and the basis values (a non-H/V basis change), are built
+once, cached read-only and reused by fresh specs; outputs are the same bits
+as building them per call.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +42,8 @@ __all__ = [
 CIRCULAR_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)
 
 _IDENTITY_2 = np.eye(2, dtype=complex)
+# The kinds of scalar a phase or spread may be: Python and NumPy reals.
+_REAL = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +53,9 @@ class DephasingSpec:
     A spec is immutable: its fields cannot be rebound and ``basis`` is a
     read-only copy of the array passed in.  ``dfs_protocol.distribute``
     caches the link map it derives from a spec for as long as that spec
-    object lives.
+    object lives.  Construction only validates and copies; the dephasing
+    tables are cached by register shape and basis value, not by spec, so a
+    fresh spec reuses them.  Phases and spreads must be finite real scalars.
 
     Attributes
     ----------
@@ -77,10 +87,13 @@ class DephasingSpec:
         b = np.asarray(self.basis, dtype=complex)
         if b.shape != (2, 2) or not np.isfinite(b).all():
             raise ValueError("dephasing basis must be a finite 2x2 matrix of column states")
-        if np.max(np.abs(b.conj().T @ b - np.eye(2))) >= ATOL_STRICT:
+        if np.abs(b.conj().T @ b - _IDENTITY_2).max() >= ATOL_STRICT:
             raise ValueError("dephasing basis is not orthonormal within 1e-12")
         for name in ("mean_phase", "per_photon_sigma", "delta_sigma"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not isinstance(value, _REAL):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.per_photon_sigma < 0 or self.delta_sigma < 0:
             raise ValueError("sigma parameters must be non-negative")
@@ -88,7 +101,7 @@ class DephasingSpec:
             raise ValueError(f"unknown phase distribution {self.distribution!r}")
         object.__setattr__(self, "basis", _freeze(b.copy()))
         object.__setattr__(self, "_computational",
-                           bool(np.max(np.abs(b - np.eye(2))) < ATOL_STRICT))
+                           bool(np.abs(b - _IDENTITY_2).max() < ATOL_STRICT))
 
     def is_computational(self) -> bool:
         return self._computational
@@ -131,6 +144,26 @@ def _occupation(n: int, photons: tuple[int, ...]) -> np.ndarray:
     """k[i]: the number of ``photons`` in basis state 1 in ket i (read-only)."""
     shifts = n - 1 - np.asarray(photons)
     return _freeze(((np.arange(2**n)[:, None] >> shifts) & 1).sum(axis=1))
+
+
+@functools.lru_cache(maxsize=32)
+def _differences(n: int, photons: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Excitation differences ket minus bra (read-only): of all ``photons``,
+    and of the first one, which carries the jitter."""
+    k, k1 = _occupation(n, photons), _occupation(n, photons[:1])
+    return _freeze(k[:, None] - k), _freeze(k1[:, None] - k1)
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_change(basis: bytes, n: int, photons: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The register basis change w into the spec basis and its inverse
+    w^dagger (both read-only).  ``basis`` is the bytes of the spec's basis
+    matrix: keyed on its values, a fresh spec with a known basis hits."""
+    binv = np.frombuffer(basis, dtype=complex).reshape(2, 2).conj().T
+    w = np.array([[1.0]], dtype=complex)
+    for q in range(n):
+        w = kron(w, binv if q in photons else _IDENTITY_2)
+    return _freeze(w), _freeze(w.conj().T)
 
 
 def _check_stage(spec, rho, hv_only: bool = False) -> None:
@@ -190,20 +223,19 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     state's matrix as it is; other bases conjugate the channel photons into
     the spec basis and back.  The jitter rides on the first photon listed,
     so jitter needs one photon or an ordered pair.
+
+    The difference grids are cached per ``(n, ordered photons)`` and a
+    non-H/V basis change per basis value as well, so only
+    ``characteristic`` and the products run per call; the result is the
+    same bits as building them afresh.
     """
     _check_stage(spec, rho)
     n = rho.num_qubits
-    ordered = _channel_photons(photons, n, spec.delta_sigma != 0.0)
+    ordered = tuple(_channel_photons(photons, n, spec.delta_sigma != 0.0))
     if spec.delta_sigma != 0.0 and len(ordered) > 2:
         raise ValueError("correlated dephasing needs one photon or an ordered pair")
-    # Excitation differences ket minus bra: of all channel photons, of the first.
-    k, k1 = (_occupation(n, tuple(p)) for p in (ordered, ordered[:1]))
-    damping = spec.characteristic(k[:, None] - k, k1[:, None] - k1)
-    rotated = not spec.is_computational()  # in H/V the basis change is the identity
-    if rotated:
-        w = np.array([[1.0]], dtype=complex)
-        binv = spec.basis.conj().T
-        for q in range(n):
-            w = kron(w, binv if q in ordered else _IDENTITY_2)
-    m = (w @ rho.matrix @ w.conj().T if rotated else rho.matrix) * damping
-    return DensityOperator(w.conj().T @ m @ w if rotated else m)
+    damping = spec.characteristic(*_differences(n, ordered))
+    if spec.is_computational():  # in H/V the basis change is the identity
+        return DensityOperator(rho.matrix * damping)
+    w, w_inv = _basis_change(spec.basis.tobytes(), n, ordered)
+    return DensityOperator(w_inv @ ((w @ rho.matrix @ w_inv) * damping) @ w)

@@ -26,6 +26,7 @@ S's position, so outputs are ordered (spectators..., Y).
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict
@@ -119,6 +120,17 @@ _PROBE = encode_append(_PHI_PLUS)
 _CHOI = weakref.WeakKeyDictionary()
 
 
+@functools.lru_cache
+def _sift_index(n: int, s_index: int, sprime_index: int) -> np.ndarray:
+    """keep[j]: the input ket that output ket j of :func:`qpg_sift` reads
+    (read-only): j's bits with the opposite of S's bit inserted at S'."""
+    j = np.arange(2 ** (n - 1))
+    s_out = s_index - (sprime_index < s_index)
+    bit_s = (j >> (n - 2 - s_out)) & 1
+    low = n - 1 - sprime_index  # output bits below S'
+    return _freeze(((j >> low) << (low + 1)) | ((1 - bit_s) << low) | (j & ((1 << low) - 1)))
+
+
 def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOperator:
     """Parity-gate sift onto the protected subspace span{|H_s V_s'>, |V_s H_s'>}.
 
@@ -126,16 +138,14 @@ def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOp
     qubit at S's slot, S' removed); its ``norm`` is the sift probability.
     Relabeling |HV> -> |H>, |VH> -> |V> absorbs the receiver's 90 degree
     rotation of the long-arm photon, so each output ket j is the input ket
-    with S's bit of j and the opposite bit inserted at S'.
+    with S's bit of j and the opposite bit inserted at S'.  That index is
+    cached per ``(n, s_index, sprime_index)``; the output is the same bits
+    as computing it per call.
     """
     _require_state(rho)
     n = rho.num_qubits
     s_index, sprime_index = _channel_photons((s_index, sprime_index), n)
-    j = np.arange(2 ** (n - 1))
-    s_out = s_index - (sprime_index < s_index)
-    bit_s = (j >> (n - 2 - s_out)) & 1
-    low = n - 1 - sprime_index  # output bits below S'
-    keep = ((j >> low) << (low + 1)) | ((1 - bit_s) << low) | (j & ((1 << low) - 1))
+    keep = _sift_index(n, s_index, sprime_index)
     cond = rho.matrix[keep[:, None], keep]
     return DensityOperator(0.5 * (cond + cond.conj().T))
 

@@ -6,16 +6,25 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, random_density
+from dfslink import dfs_protocol
 from dfslink.channels import (
     CIRCULAR_BASIS,
     DephasingSpec,
+    _basis_change,
+    _differences,
     _occupation,
     apply_phase_damping,
     collective_dephase,
     correlated_dephase,
     rotate_basis,
 )
-from dfslink.dfs_protocol import ProtocolInput, baseline_direct, prepare_phi_minus
+from dfslink.dfs_protocol import (
+    ProtocolInput,
+    baseline_direct,
+    distribute,
+    prepare_phi_minus,
+    qpg_sift,
+)
 from dfslink.qmath import (
     KET_D,
     KET_H,
@@ -345,6 +354,22 @@ def test_spec_rejects_non_finite(name, bad):
         DephasingSpec(distribution="gaussian", **{name: bad})
 
 
+@pytest.mark.parametrize("name", ["mean_phase", "per_photon_sigma", "delta_sigma"])
+@pytest.mark.parametrize("bad", [1j, [0.3], np.array([0.1, 0.2]), "0.3", None],
+                         ids=["complex", "list", "array", "str", "none"])
+def test_spec_rejects_non_real(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+        DephasingSpec(distribution="gaussian", **{name: bad})
+
+
+@pytest.mark.parametrize("value", [0, 0.3, np.float64(0.3), np.float32(0.3), np.int64(1)],
+                         ids=["int", "float", "float64", "float32", "int64"])
+def test_spec_accepts_python_and_numpy_reals(value):
+    spec = DephasingSpec(mean_phase=value, per_photon_sigma=value, delta_sigma=value,
+                         distribution="gaussian")
+    assert spec.mean_phase is value
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: DephasingSpec(basis=np.eye(3)), "2x2", id="3x3-basis"),
     pytest.param(lambda: DephasingSpec(basis=[[np.nan, 0], [0, 1]]), "finite",
@@ -403,6 +428,41 @@ def test_occupation_vector_is_read_only_and_counts_photons():
     k = _occupation(3, (0, 2))
     assert not k.flags.writeable
     assert k.tolist() == [bin(i & 0b101).count("1") for i in range(8)]
+
+
+def test_cached_tables_are_read_only():
+    k, k1 = _differences(3, (2, 0))
+    w, w_inv = _basis_change(CIRCULAR_BASIS.tobytes(), 3, (2, 0))
+    for table in (k, k1, w, w_inv, dfs_protocol._sift_index(3, 1, 2)):
+        assert not table.flags.writeable
+    assert k.tolist() == [[bin(a & 0b101).count("1") - bin(b & 0b101).count("1")
+                           for b in range(8)] for a in range(8)]
+    assert k1.tolist() == [[(a & 1) - (b & 1) for b in range(8)] for a in range(8)]
+    assert np.array_equal(w_inv, w.conj().T)
+
+
+def test_fresh_spec_with_known_basis_and_register_misses_no_cache(rng):
+    # link_sweep builds new specs every op: the tables must be found by basis
+    # value and register shape, not by spec object.
+    caches = (_differences, _basis_change, dfs_protocol._sift_index)
+    rho = random_density(8, rng)
+
+    def fresh_spec():
+        return DephasingSpec(basis=CIRCULAR_BASIS.copy(), mean_phase=0.3, per_photon_sigma=0.4,
+                             delta_sigma=0.2, distribution="gaussian")
+
+    def run(spec):
+        sifted = qpg_sift(rotate_basis(spec, rho, (2, 0)), 2, 0)
+        pin = ProtocolInput(prepare_phi_minus().density(), spec)
+        return sifted, distribute(pin), baseline_direct(pin)
+
+    first = run(fresh_spec())
+    misses = [f.cache_info().misses for f in caches]
+    second = run(fresh_spec())
+    assert [f.cache_info().misses for f in caches] == misses
+    assert first[0].matrix.tobytes() == second[0].matrix.tobytes()
+    assert first[1].state.matrix.tobytes() == second[1].state.matrix.tobytes()
+    assert first[2].matrix.tobytes() == second[2].matrix.tobytes()
 
 
 def test_spec_validation():

@@ -2,17 +2,22 @@
 
 The link's Choi matrix is read off the public pipeline: distributing |Phi+>
 of (reference, S) with the Dbar branch kept returns J / (2 p_success).  The
-Kronecker helper is checked against NumPy's ``kron``.
+Kronecker helper is checked against NumPy's ``kron``.  ``rotate_basis`` and
+``qpg_sift`` read cached index tables and basis changes; they are checked bit
+for bit against references that rebuild everything per call.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
-from dfslink.channels import CIRCULAR_BASIS, DephasingSpec
-from dfslink.dfs_protocol import ProtocolInput, distribute
+from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
+from dfslink.dfs_protocol import ProtocolInput, distribute, qpg_sift
 from dfslink.qmath import StateVector, kron
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -81,3 +86,63 @@ def test_kron_matches_numpy(data, ndim):
     expected = np.kron(a, b)
     assert out.shape == expected.shape
     assert np.array_equal(out, expected)
+
+
+def reference_rotate_basis(spec, rho, photons):
+    """The dephasing kernel with every table built in place: occupation
+    counts, difference grids and the qmath.kron chain of the basis change."""
+    n = rho.num_qubits
+    kets = np.arange(2**n)
+    k = sum((kets >> (n - 1 - p)) & 1 for p in photons)
+    k1 = (kets >> (n - 1 - photons[0])) & 1
+    damping = spec.characteristic(k[:, None] - k, k1[:, None] - k1)
+    if spec.is_computational():
+        return rho.matrix * damping
+    w = np.array([[1.0]], dtype=complex)
+    for q in range(n):
+        w = kron(w, spec.basis.conj().T if q in photons else np.eye(2, dtype=complex))
+    return w.conj().T @ ((w @ rho.matrix @ w.conj().T) * damping) @ w
+
+
+def reference_sift(rho, s, sprime):
+    """qpg_sift by its definition: output ket j reads the input ket with j's
+    bits and, at S', the opposite of S's bit."""
+    n = rho.num_qubits
+    keep = []
+    for j in range(2 ** (n - 1)):
+        bits = [(j >> (n - 2 - q)) & 1 for q in range(n - 1)]
+        bits.insert(sprime, 1 - bits[s - (sprime < s)])
+        keep.append(int("".join(map(str, bits)), 2))
+    cond = rho.matrix[np.ix_(keep, keep)]
+    return 0.5 * (cond + cond.conj().T)
+
+
+def random_basis(kind, rng):
+    a = rng.uniform(-np.pi, np.pi, 3)
+    return {"hv": np.eye(2), "circular": CIRCULAR_BASIS, "su2": su2(*a),
+            "phased": np.diag(np.exp(1j * a[:2]))}[kind]
+
+
+@pytest.mark.parametrize("kind", ["hv", "circular", "su2", "phased"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rotate_basis_and_sift_match_per_call_reference(n, kind):
+    rng = np.random.default_rng([n, ["hv", "circular", "su2", "phased"].index(kind)])
+    for delta, distribution in itertools.product((0.0, 0.8), ("uniform", "gaussian")):
+        for _ in range(3):
+            rho = random_density(2**n, rng, rank=int(rng.integers(1, 2**n + 1)))
+            order = [int(q) for q in rng.permutation(n)]
+            photons = order[:int(rng.integers(1, (min(n, 2) if delta else n) + 1))]
+            # The spec's basis and then another rotated one at the same
+            # register shape: a cache that ignored the basis values would
+            # hand the second the first's basis change.
+            bases = (random_basis(kind, rng), random_basis("su2", rng))
+            for basis, ordered in itertools.product(bases, (photons, photons[::-1])):
+                spec = DephasingSpec(basis=basis, mean_phase=rng.uniform(-np.pi, np.pi),
+                                     per_photon_sigma=rng.uniform(0.0, 2.0),
+                                     delta_sigma=delta, distribution=distribution)
+                out = rotate_basis(spec, rho, ordered)
+                expected = reference_rotate_basis(spec, rho, ordered)
+                assert out.matrix.tobytes() == expected.tobytes()
+                for s, sprime in (order[-2:], order[-2:][::-1]) if n > 1 else ():
+                    sifted = qpg_sift(out, s, sprime)
+                    assert sifted.matrix.tobytes() == reference_sift(out, s, sprime).tobytes()
