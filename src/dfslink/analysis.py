@@ -24,6 +24,7 @@ import numpy as np
 
 from .qmath import (
     _freeze,
+    _require_state,
     KET_D,
     KET_DBAR,
     KET_H,
@@ -281,6 +282,7 @@ def simulate_counts(
     ``totals`` is the per-setting expected total (scalar broadcast).
     Deterministic for a fixed seed.
     """
+    _require_state(rho)
     if rho.dim != 4:
         raise ValueError("simulate_counts requires a two-qubit state")
     try:

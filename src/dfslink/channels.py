@@ -44,6 +44,12 @@ CIRCULAR_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(
 _IDENTITY_2 = np.eye(2, dtype=complex)
 # The kinds of scalar a phase or spread may be: Python and NumPy reals.
 _REAL = (int, float, np.integer, np.floating)
+# A gaussian spread beyond this damps every coherence to exactly zero, as it
+# does from about 40 rad on; capping it keeps (spread * m)**2 finite.
+_SPREAD_CAP = 1e100
+# A mean phase beyond this, whose float spacing is far wider than 2 pi, is
+# reduced modulo 2 pi so that mean_phase * m stays finite.
+_PHASE_CAP = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +99,11 @@ class DephasingSpec:
             value = getattr(self, name)
             if not isinstance(value, _REAL):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if self.per_photon_sigma < 0 or self.delta_sigma < 0:
             raise ValueError("sigma parameters must be non-negative")
@@ -113,14 +123,22 @@ class DephasingSpec:
         jitter of spread ``delta_sigma`` that rides on one photon; ``m`` is
         the total excitation difference of all channel photons and
         ``m_jitter`` that of the jittered photon alone.
+
+        Finite and free of overflow for every spec: spreads are capped at
+        1e100 rad, which changes no value, since every coherence is damped
+        to zero from about 40 rad on; a mean phase beyond 1e300 rad, whose
+        float spacing is far wider than 2 pi, is reduced modulo 2 pi.
         """
         m = np.asarray(m)
         if self.distribution == "uniform":
             common = (m == 0).astype(complex)
         else:
-            s = self.per_photon_sigma
-            common = np.exp(1j * self.mean_phase * m - 0.5 * (s * m) ** 2)
-        return common * np.exp(-0.5 * (self.delta_sigma * np.asarray(m_jitter)) ** 2)
+            mu, s = float(self.mean_phase), min(float(self.per_photon_sigma), _SPREAD_CAP)
+            if abs(mu) > _PHASE_CAP:
+                mu = math.remainder(mu, 2.0 * math.pi)
+            common = np.exp(1j * mu * m - 0.5 * (s * m) ** 2)
+        d = min(float(self.delta_sigma), _SPREAD_CAP)
+        return common * np.exp(-0.5 * (d * np.asarray(m_jitter)) ** 2)
 
 
 def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
@@ -228,6 +246,12 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     non-H/V basis change per basis value as well, so only
     ``characteristic`` and the products run per call; the result is the
     same bits as building them afresh.
+
+    The output state is not re-checked.  The damping is the characteristic
+    matrix E[u u^dagger] of the random phase vector u, a Gram matrix with
+    unit diagonal, so its Schur product with a checked state is positive
+    and has the same trace; the basis change is a unitary conjugation,
+    which keeps both.  ``characteristic`` is finite for every spec.
     """
     _check_stage(spec, rho)
     n = rho.num_qubits
@@ -236,6 +260,6 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
         raise ValueError("correlated dephasing needs one photon or an ordered pair")
     damping = spec.characteristic(*_differences(n, ordered))
     if spec.is_computational():  # in H/V the basis change is the identity
-        return DensityOperator(rho.matrix * damping)
+        return DensityOperator._trusted(rho.matrix * damping)
     w, w_inv = _basis_change(spec.basis.tobytes(), n, ordered)
-    return DensityOperator(w_inv @ ((w @ rho.matrix @ w_inv) * damping) @ w)
+    return DensityOperator._trusted(w_inv @ ((w @ rho.matrix @ w_inv) * damping) @ w)

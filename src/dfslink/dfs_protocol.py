@@ -109,6 +109,7 @@ _ANCILLA = prepare_ancilla().density()
 
 def encode_append(rho: DensityOperator) -> DensityOperator:
     """Append the ancilla: state (spectators..., S) -> (spectators..., S, S')."""
+    _require_state(rho)
     return tensor(rho, _ANCILLA)
 
 
@@ -141,13 +142,17 @@ def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOp
     with S's bit of j and the opposite bit inserted at S'.  That index is
     cached per ``(n, s_index, sprime_index)``; the output is the same bits
     as computing it per call.
+
+    The output state is not re-checked: a principal submatrix of a positive
+    matrix is positive with at most its trace, and averaging it with its
+    conjugate transpose, the same matrix up to rounding, keeps both.
     """
     _require_state(rho)
     n = rho.num_qubits
     s_index, sprime_index = _channel_photons((s_index, sprime_index), n)
     keep = _sift_index(n, s_index, sprime_index)
     cond = rho.matrix[keep[:, None], keep]
-    return DensityOperator(0.5 * (cond + cond.conj().T))
+    return DensityOperator._trusted(0.5 * (cond + cond.conj().T))
 
 
 def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
@@ -175,6 +180,11 @@ def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     return ProtocolOutcome(state, success, branches)
 
 
+def _require_input(inp) -> None:
+    if not isinstance(inp, ProtocolInput):
+        raise ValueError(f"protocol input must be a ProtocolInput, got {type(inp).__name__}")
+
+
 def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     """Full pipeline: encode, dephase, sift, decode.
 
@@ -186,6 +196,7 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     link output, whose ``norm`` is the sift probability: the output lives on
     (spectators..., Y) and the branch map covers {D, Dbar, sift_fail}.
     """
+    _require_input(inp)
     spec = inp.channel_spec
     choi = _CHOI.get(spec)
     if choi is None:
@@ -203,4 +214,5 @@ def baseline_direct(inp: ProtocolInput) -> DensityOperator:
     riding on S combine into one characteristic function.  Success
     probability is 1 (nothing is post-selected).
     """
+    _require_input(inp)
     return rotate_basis(inp.channel_spec, inp.state, [inp.state.num_qubits - 1])

@@ -8,6 +8,18 @@ Conventions used throughout the package:
 * states are dense matrices;
 * conditional (post-selected) states are kept sub-normalized and carry an
   explicit ``norm`` field instead of being silently renormalized.
+
+States are validated where they enter.  The ``DensityOperator``
+constructor checks that its matrix is finite, Hermitian, of trace in
+[0, 1] and positive semidefinite.  A caller's matrix always goes through
+it, as do ``StateVector.density()``, ``normalized()`` and the link output
+of ``dfs_protocol.distribute``.  A state that a dfslink map derives from
+checked states skips those checks (``DensityOperator._trusted``): the map
+is positive and does not increase the trace, so the checks could not fail.
+These maps are :func:`tensor` and :func:`partial_trace` of
+``DensityOperator``s here, and the dephasing and sifting stages
+``channels.rotate_basis`` and ``dfs_protocol.qpg_sift``; each docstring
+says why its map keeps positivity and trace.
 """
 
 from __future__ import annotations
@@ -125,6 +137,10 @@ class DensityOperator:
 
     The matrix may be sub-normalized (post-selected conditional states); its
     trace is recorded in ``norm``.  ``normalized()`` divides it out.
+
+    The constructor checks its matrix and keeps a read-only copy; the
+    private ``_trusted`` skips both for map outputs (see the module
+    docstring).
     """
 
     matrix: np.ndarray
@@ -151,6 +167,16 @@ class DensityOperator:
         object.__setattr__(self, "matrix", _freeze(m.copy()))
         object.__setattr__(self, "norm", float(tr.real))
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Freeze ``matrix``, a fresh complex output of a positive,
+        trace-non-increasing map of checked states, in place as a state:
+        no copy and none of the constructor's checks."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", _freeze(matrix))
+        object.__setattr__(rho, "norm", float(matrix.trace().real))
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -173,11 +199,15 @@ def _require_state(rho) -> None:
 def tensor(a: StateVector | DensityOperator,
            b: StateVector | DensityOperator) -> StateVector | DensityOperator:
     """Kronecker product of two ``StateVector``s or two ``DensityOperator``s,
-    a's indices most significant."""
+    a's indices most significant.
+
+    The product of two states is unchecked: a Kronecker product of positive
+    matrices is positive, and its trace tr a * tr b is at most 1.
+    """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(kron(a.matrix, b.matrix))
+        return DensityOperator._trusted(kron(a.matrix, b.matrix))
     raise TypeError(
         f"tensor requires two objects of the same kind, got "
         f"{type(a).__name__} and {type(b).__name__}"
@@ -193,6 +223,9 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         State over n qubits (dimension must be a power of two).
     keep : iterable of int
         Qubit indices to retain, 0 = most significant factor.
+
+    The reduced state is unchecked: a partial trace is completely positive
+    and keeps the trace.
     """
     _require_state(rho)
     n = rho.num_qubits
@@ -207,7 +240,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         m = tens.ndim // 2
         tens = np.trace(tens, axis1=q, axis2=q + m)
     d = 2 ** len(keep_sorted)
-    return DensityOperator(tens.reshape(d, d))
+    return DensityOperator._trusted(tens.reshape(d, d))
 
 
 def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:

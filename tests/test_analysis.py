@@ -968,6 +968,8 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
     pytest.param(lambda: simulate_counts(DensityOperator(np.eye(2) / 2),
                                          tomography_settings(), 100.0, 1),
                  "requires a two-qubit state", id="counts-one-qubit"),
+    pytest.param(lambda: simulate_counts(np.eye(4) / 4, tomography_settings(), 100.0, 1),
+                 "state must be a DensityOperator, got ndarray", id="counts-ndarray"),
     pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(),
                                          [100.0] * 3, 1),
                  "one per setting", id="totals-wrong-length"),

@@ -2,6 +2,8 @@
 phase-sampling oracle that applies explicit diagonal phase unitaries and
 averages, independent of the characteristic-function implementation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,73 @@ def test_spec_accepts_python_and_numpy_reals(value):
     spec = DephasingSpec(mean_phase=value, per_photon_sigma=value, delta_sigma=value,
                          distribution="gaussian")
     assert spec.mean_phase is value
+
+
+_EXTREME_SPECS = {
+    "huge-mean-phase": dict(mean_phase=1e308),
+    "huge-negative-mean-phase": dict(mean_phase=-1e308),
+    "huge-sigma": dict(per_photon_sigma=1e200),
+    "huge-delta": dict(delta_sigma=1e200),
+    "all-at-float-max": dict(mean_phase=1.7e308, per_photon_sigma=1.7e308,
+                             delta_sigma=1.7e308),
+    "int-sigma-2-pow-40": dict(per_photon_sigma=2**40),
+    "int-everything-1e300": dict(mean_phase=10**300, per_photon_sigma=10**300,
+                                 delta_sigma=10**300),
+}
+
+
+@pytest.mark.parametrize("basis", [np.eye(2), CIRCULAR_BASIS], ids=["hv", "circular"])
+@pytest.mark.parametrize("kw", list(_EXTREME_SPECS.values()), ids=list(_EXTREME_SPECS))
+def test_extreme_specs_give_finite_states_without_warning(kw, basis):
+    # Every stage output must pass the checks it is not put through.
+    spec = DephasingSpec(basis=basis, distribution="gaussian", **kw)
+    pin = ProtocolInput(prepare_phi_minus().density(), spec, keep_dbar_branch=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [rotate_basis(spec, dfs_protocol._PROBE, (1, 2)), distribute(pin).state,
+                baseline_direct(pin)]
+    for out in outs:
+        assert np.isfinite(out.matrix).all()
+        DensityOperator(out.matrix)
+
+
+def _difference_grid():
+    """Every total difference -4..4 against every jitter difference -1..1."""
+    m = np.repeat(np.arange(-4, 5)[:, None], 3, axis=1)
+    return m, np.broadcast_to(np.arange(-1, 2), m.shape)
+
+
+@pytest.mark.parametrize("kw", [dict(per_photon_sigma=1e200), dict(per_photon_sigma=2**40),
+                                dict(per_photon_sigma=1e200, delta_sigma=1e200),
+                                dict(per_photon_sigma=10**300, delta_sigma=2**62)],
+                         ids=["float-sigma", "int-sigma", "both-float", "both-int"])
+def test_huge_spreads_damp_every_coherence_to_zero(kw):
+    m, m_jitter = _difference_grid()
+    spec = DephasingSpec(mean_phase=0.4, distribution="gaussian", **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = spec.characteristic(m, m_jitter)
+    jitter_free = "delta_sigma" not in kw
+    expected = (m == 0) & ((m_jitter == 0) | jitter_free)
+    assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("mean_phase", [-np.pi, -3.0, 0.0, 0.3, np.pi, np.pi + 0.5, -7.0,
+                                        2.5e4, 1e300])
+@pytest.mark.parametrize("sigma", [0.0, 0.7, 1.5, 40.0])
+def test_characteristic_bits_of_ordinary_specs(mean_phase, sigma):
+    # Neither the phase reduction nor the spread cap touches these.
+    m, m_jitter = _difference_grid()
+    spec = DephasingSpec(mean_phase=mean_phase, per_photon_sigma=sigma, delta_sigma=sigma,
+                         distribution="gaussian")
+    expected = (np.exp(1j * mean_phase * m - 0.5 * (sigma * m) ** 2)
+                * np.exp(-0.5 * (sigma * m_jitter) ** 2))
+    assert spec.characteristic(m, m_jitter).tobytes() == expected.tobytes()
+
+
+def test_spec_rejects_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match="mean_phase must be finite"):
+        DephasingSpec(mean_phase=10**400)
 
 
 @pytest.mark.parametrize("call, match", [

@@ -177,12 +177,24 @@ def test_decode_rejects_non_bool_keep_dbar(keep):
 
 
 @pytest.mark.parametrize("stage", [
+    pytest.param(encode_append, id="encode_append"),
     pytest.param(lambda rho: qpg_sift(rho, 0, 1), id="qpg_sift"),
     pytest.param(decode, id="decode"),
 ])
 def test_stages_reject_a_state_that_is_no_density_operator(stage):
     with pytest.raises(ValueError, match="state must be a DensityOperator"):
         stage(np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("entry", [distribute, baseline_direct])
+@pytest.mark.parametrize("inp, kind", [
+    pytest.param(None, "NoneType", id="none"),
+    pytest.param(KET_D.density(), "DensityOperator", id="bare-state"),
+])
+def test_link_entry_points_reject_what_is_no_protocol_input(entry, inp, kind):
+    with pytest.raises(ValueError,
+                       match=f"protocol input must be a ProtocolInput, got {kind}"):
+        entry(inp)
 
 
 @pytest.mark.parametrize("keep", [False, True])

@@ -4,7 +4,8 @@ The link's Choi matrix is read off the public pipeline: distributing |Phi+>
 of (reference, S) with the Dbar branch kept returns J / (2 p_success).  The
 Kronecker helper is checked against NumPy's ``kron``.  ``rotate_basis`` and
 ``qpg_sift`` read cached index tables and basis changes; they are checked bit
-for bit against references that rebuild everything per call.
+for bit against references that rebuild everything per call.  The states
+that the stage maps return unchecked are put through the checks they skip.
 """
 
 import itertools
@@ -17,8 +18,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
-from dfslink.dfs_protocol import ProtocolInput, distribute, qpg_sift
-from dfslink.qmath import StateVector, kron
+from dfslink import dfs_protocol
+from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute, qpg_sift
+from dfslink.qmath import DensityOperator, StateVector, kron, partial_trace, tensor
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 PHI_PLUS = StateVector([1.0, 0.0, 0.0, 1.0]).normalize().density()
@@ -146,3 +148,47 @@ def test_rotate_basis_and_sift_match_per_call_reference(n, kind):
                 for s, sprime in (order[-2:], order[-2:][::-1]) if n > 1 else ():
                     sifted = qpg_sift(out, s, sprime)
                     assert sifted.matrix.tobytes() == reference_sift(out, s, sprime).tobytes()
+
+
+def assert_passes_skipped_checks(out, trace_bound):
+    """``out`` is read-only, meets every check of the constructor and has a
+    trace of at most ``trace_bound``, that of the map's input."""
+    m = out.matrix
+    assert not m.flags.writeable
+    assert np.isfinite(m).all()
+    assert np.abs(m - m.conj().T).max() < 1e-12
+    tr = m.trace()
+    assert abs(tr.imag) < 1e-12 and 0.0 <= tr.real <= 1.0 + 1e-9
+    assert tr.real <= trace_bound + 1e-12
+    assert np.linalg.eigvalsh(m)[0] >= -1e-10
+    checked = DensityOperator(m)
+    assert checked.norm == out.norm
+    assert np.array_equal(checked.matrix, m)
+
+
+jitters = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+jitter_specs = st.builds(DephasingSpec, basis=bases, mean_phase=angles,
+                         per_photon_sigma=sigmas, delta_sigma=jitters,
+                         distribution=distributions)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(spec=jitter_specs, seed=st.integers(0, 2**32 - 1), keep=st.booleans())
+def test_unchecked_stage_outputs_pass_the_checks_they_skip(n, spec, seed, keep):
+    rng = np.random.default_rng(seed)
+    rho = random_density(2**n, rng, rank=int(rng.integers(1, 2**n + 1)))
+    order = [int(q) for q in rng.permutation(n)]
+    photons = order[:int(rng.integers(1, (min(n, 2) if spec.delta_sigma else n) + 1))]
+    dephased = rotate_basis(spec, rho, photons)
+    probe = rotate_basis(spec, dfs_protocol._PROBE, (1, 2))
+    ancilla = random_density(2, rng, rank=int(rng.integers(1, 3)))
+    outs = [(dephased, rho.norm), (probe, dfs_protocol._PROBE.norm),
+            (qpg_sift(probe, 1, 2), probe.norm),
+            (baseline_direct(ProtocolInput(rho, spec, keep_dbar_branch=keep)), rho.norm),
+            (tensor(dephased, ancilla), dephased.norm * ancilla.norm),
+            (partial_trace(dephased, order[:int(rng.integers(1, n + 1))]), dephased.norm)]
+    if n > 1:
+        outs.append((qpg_sift(dephased, *order[-2:]), dephased.norm))
+    for out, trace_bound in outs:
+        assert_passes_skipped_checks(out, trace_bound)

@@ -219,6 +219,16 @@ def test_num_qubits_of_powers_of_two(n):
     assert StateVector(np.ones(2**n)).num_qubits == n
 
 
+def test_trusted_state_is_frozen_in_place_with_its_trace():
+    m = np.diag([0.5, 0.25]).astype(complex)
+    rho = DensityOperator._trusted(m)
+    assert rho.matrix is m and not m.flags.writeable
+    assert rho.norm == 0.75 == DensityOperator(m).norm
+    # Unchecked: a matrix the constructor rejects passes, so only map
+    # outputs of checked states may come this way.
+    assert DensityOperator._trusted(np.diag([1.0, -1.0]).astype(complex)).norm == 0.0
+
+
 def test_trace_distance_extremes():
     a = KET_H.density()
     b = KET_V.density()
