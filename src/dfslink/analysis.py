@@ -375,8 +375,9 @@ _YY = _freeze(kron(PAULI_Y, PAULI_Y))  # the spin flip of concurrence
 
 
 def _quadratic_forms(projs: np.ndarray) -> np.ndarray:
-    """Q_k with tr(P_k T^+T) = t^T Q_k t, as a (K, 16, 16) real stack."""
-    return np.real(projs.reshape(-1, 16) @ _PAIRS).reshape(-1, 16, 16)
+    """Q_k with tr(P_k T^+T) = t^T Q_k t, as a (K, 16, 16) real stack,
+    contiguous so that the fit's ``forms @ t`` reads it in order."""
+    return np.ascontiguousarray(np.real(projs.reshape(-1, 16) @ _PAIRS)).reshape(-1, 16, 16)
 
 
 def _log_likelihood(probs: np.ndarray, counts: np.ndarray, scales: np.ndarray) -> float:

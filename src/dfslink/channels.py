@@ -12,10 +12,13 @@ E[exp(i m phi)] of the phase distribution.  :func:`collective_dephase`,
 preconditions of their H/V case and call it.  A Monte-Carlo phase-sampling
 route exists only as a test oracle.
 
-Tables that depend only on the register shape (the excitation-difference
-grids), or on it and the basis values (a non-H/V basis change), are built
-once, cached read-only and reused by fresh specs; outputs are the same bits
-as building them per call.
+Work that does not depend on a spec's numbers is done once and shared by
+fresh specs: each basis value is checked once, and the tables that depend
+only on the register shape (the damping's gather index) or on it and the
+basis values (a non-H/V basis change) are built once and cached read-only.
+A spec evaluates ``characteristic`` once, on the few (m, m_jitter) pairs a
+register can hold, and every dephasing call gathers its damping from that
+table.  Outputs are the same bits as building everything per call.
 """
 
 from __future__ import annotations
@@ -50,6 +53,21 @@ _SPREAD_CAP = 1e100
 # A mean phase beyond this, whose float spacing is far wider than 2 pi, is
 # reduced modulo 2 pi so that mean_phase * m stays finite.
 _PHASE_CAP = 1e300
+# Raised for a basis of the wrong shape and, by _check_basis, a non-finite one.
+_BASIS_SHAPE = "dephasing basis must be a finite 2x2 matrix of column states"
+
+
+@functools.lru_cache(maxsize=32)
+def _check_basis(basis: bytes) -> bool:
+    """Whether the 2x2 basis with these bytes is H/V; raises unless it is
+    finite and orthonormal.  Keyed on the values, so a basis value is checked
+    once; a rejection is not cached and raises every time."""
+    b = np.frombuffer(basis, dtype=complex).reshape(2, 2)
+    if not np.isfinite(b).all():
+        raise ValueError(_BASIS_SHAPE)
+    if np.abs(b.conj().T @ b - _IDENTITY_2).max() >= ATOL_STRICT:
+        raise ValueError("dephasing basis is not orthonormal within 1e-12")
+    return bool(np.abs(b - _IDENTITY_2).max() < ATOL_STRICT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +77,12 @@ class DephasingSpec:
     A spec is immutable: its fields cannot be rebound and ``basis`` is a
     read-only copy of the array passed in.  ``dfs_protocol.distribute``
     caches the link map it derives from a spec for as long as that spec
-    object lives.  Construction only validates and copies; the dephasing
-    tables are cached by register shape and basis value, not by spec, so a
-    fresh spec reuses them.  Phases and spreads must be finite real scalars.
+    object lives.  Construction validates and copies; the basis checks run
+    once per basis value and the dephasing tables are cached by register
+    shape and basis value, not by spec, so a fresh spec reuses both.  The
+    first dephasing call evaluates ``characteristic`` into a small private
+    table of the spec, which later calls gather from.  Phases and spreads
+    must be finite real scalars.
 
     Attributes
     ----------
@@ -88,13 +109,15 @@ class DephasingSpec:
     distribution: str = "uniform"
     # Worked out once per spec: every dephasing call asks for it.
     _computational: bool = field(init=False, repr=False)
+    # (k, characteristic on _pairs(k), flattened), set by the first dephasing
+    # call and rebuilt larger when a call has more than k channel photons.
+    _table: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
-        if b.shape != (2, 2) or not np.isfinite(b).all():
-            raise ValueError("dephasing basis must be a finite 2x2 matrix of column states")
-        if np.abs(b.conj().T @ b - _IDENTITY_2).max() >= ATOL_STRICT:
-            raise ValueError("dephasing basis is not orthonormal within 1e-12")
+        if b.shape != (2, 2):
+            raise ValueError(_BASIS_SHAPE)
+        computational = _check_basis(b.tobytes())
         for name in ("mean_phase", "per_photon_sigma", "delta_sigma"):
             value = getattr(self, name)
             if not isinstance(value, _REAL):
@@ -110,8 +133,8 @@ class DephasingSpec:
         if self.distribution not in ("uniform", "gaussian"):
             raise ValueError(f"unknown phase distribution {self.distribution!r}")
         object.__setattr__(self, "basis", _freeze(b.copy()))
-        object.__setattr__(self, "_computational",
-                           bool(np.abs(b - _IDENTITY_2).max() < ATOL_STRICT))
+        object.__setattr__(self, "_computational", computational)
+        object.__setattr__(self, "_table", None)
 
     def is_computational(self) -> bool:
         return self._computational
@@ -170,6 +193,42 @@ def _differences(n: int, photons: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     and of the first one, which carries the jitter."""
     k, k1 = _occupation(n, photons), _occupation(n, photons[:1])
     return _freeze(k[:, None] - k), _freeze(k1[:, None] - k1)
+
+
+@functools.lru_cache
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, m_jitter) grids of a spec's characteristic table (read-only):
+    m in [-k, k] down the rows, m_jitter in {-1, 0, 1} across, so pair
+    (m, m_jitter) sits at flat position (m + k) * 3 + (m_jitter + 1)."""
+    m = np.arange(-k, k + 1)
+    return (_freeze(np.repeat(m[:, None], 3, axis=1)),
+            _freeze(np.tile(np.arange(-1, 2), (m.size, 1))))
+
+
+@functools.lru_cache(maxsize=32)
+def _damping_index(n: int, photons: tuple[int, ...], k: int) -> np.ndarray:
+    """The flat position in a spec's k-table of each entry's (m, m_jitter)
+    from :func:`_differences` (read-only); k is at least len(photons)."""
+    m, m_jitter = _differences(n, photons)
+    return _freeze((m + k) * 3 + (m_jitter + 1))
+
+
+def _damping(spec: DephasingSpec, n: int, photons: tuple[int, ...]) -> np.ndarray:
+    """``spec.characteristic(*_differences(n, photons))``, the same bits,
+    gathered from the spec's table of characteristic values.
+
+    The table holds every pair (m, m_jitter) that k >= len(photons) channel
+    photons can give.  The first call evaluates it with k >= 2, the link's
+    pair, so the probe and the single-photon baseline share it; a later
+    call with more photons rebuilds it larger.
+    """
+    table = spec._table
+    if table is None or table[0] < len(photons):
+        k = max(2, len(photons))
+        table = (k, _freeze(spec.characteristic(*_pairs(k)).reshape(-1)))
+        object.__setattr__(spec, "_table", table)
+    k, values = table
+    return values.take(_damping_index(n, photons, k))
 
 
 @functools.lru_cache(maxsize=32)
@@ -242,10 +301,12 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     the spec basis and back.  The jitter rides on the first photon listed,
     so jitter needs one photon or an ordered pair.
 
-    The difference grids are cached per ``(n, ordered photons)`` and a
-    non-H/V basis change per basis value as well, so only
-    ``characteristic`` and the products run per call; the result is the
-    same bits as building them afresh.
+    ``characteristic`` runs once per spec, on the few (m, m_jitter) pairs a
+    register can hold (see :func:`_damping`).  The index that gathers the
+    damping from them is cached per ``(n, ordered photons, table size)``
+    and a non-H/V basis change per basis value as well, so only the gather
+    and the products run per call; the result is the same bits as building
+    everything afresh.
 
     The output state is not re-checked.  The damping is the characteristic
     matrix E[u u^dagger] of the random phase vector u, a Gram matrix with
@@ -258,7 +319,7 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     ordered = tuple(_channel_photons(photons, n, spec.delta_sigma != 0.0))
     if spec.delta_sigma != 0.0 and len(ordered) > 2:
         raise ValueError("correlated dephasing needs one photon or an ordered pair")
-    damping = spec.characteristic(*_differences(n, ordered))
+    damping = _damping(spec, n, ordered)
     if spec.is_computational():  # in H/V the basis change is the identity
         return DensityOperator._trusted(rho.matrix * damping)
     w, w_inv = _basis_change(spec.basis.tobytes(), n, ordered)

@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * multi-qubit states order their tensor factors most-significant first,
   so qubit 0 owns the leftmost Kronecker factor;
 * states are dense matrices;
-* conditional (post-selected) states are kept sub-normalized and carry an
-  explicit ``norm`` field instead of being silently renormalized.
+* conditional (post-selected) states are kept sub-normalized and carry
+  their trace as ``norm`` instead of being silently renormalized.
 
 States are validated where they enter.  The ``DensityOperator``
 constructor checks that its matrix is finite, Hermitian, of trace in
@@ -24,8 +24,9 @@ says why its map keeps positivity and trace.
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -136,15 +137,15 @@ class DensityOperator:
     """Hermitian, positive semidefinite state matrix.
 
     The matrix may be sub-normalized (post-selected conditional states); its
-    trace is recorded in ``norm``.  ``normalized()`` divides it out.
+    trace is ``norm``.  ``normalized()`` divides it out.
 
     The constructor checks its matrix and keeps a read-only copy; the
     private ``_trusted`` skips both for map outputs (see the module
-    docstring).
+    docstring).  The constructor records ``norm`` from the trace it checks;
+    a ``_trusted`` state takes the trace only when ``norm`` is first read.
     """
 
     matrix: np.ndarray
-    norm: float = field(init=False)  # trace, recorded at construction
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -165,16 +166,21 @@ class DensityOperator:
         if lam_min < -ATOL_CHANNEL:
             raise ValueError(f"density matrix not PSD: min eigenvalue {lam_min}")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
-        object.__setattr__(self, "norm", float(tr.real))
+        object.__setattr__(self, "norm", float(tr.real))  # fills the cached property
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """The trace."""
+        return float(self.matrix.trace().real)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
         """Freeze ``matrix``, a fresh complex output of a positive,
         trace-non-increasing map of checked states, in place as a state:
-        no copy and none of the constructor's checks."""
+        no copy, none of the constructor's checks and no trace until
+        ``norm`` is read."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", _freeze(matrix))
-        object.__setattr__(rho, "norm", float(matrix.trace().real))
         return rho
 
     @property

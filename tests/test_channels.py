@@ -2,6 +2,7 @@
 phase-sampling oracle that applies explicit diagonal phase unitaries and
 averages, independent of the characteristic-function implementation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -13,8 +14,11 @@ from dfslink.channels import (
     CIRCULAR_BASIS,
     DephasingSpec,
     _basis_change,
+    _check_basis,
+    _damping_index,
     _differences,
     _occupation,
+    _pairs,
     apply_phase_damping,
     collective_dephase,
     correlated_dephase,
@@ -502,18 +506,24 @@ def test_occupation_vector_is_read_only_and_counts_photons():
 def test_cached_tables_are_read_only():
     k, k1 = _differences(3, (2, 0))
     w, w_inv = _basis_change(CIRCULAR_BASIS.tobytes(), 3, (2, 0))
-    for table in (k, k1, w, w_inv, dfs_protocol._sift_index(3, 1, 2)):
+    m, m_jitter = _pairs(3)
+    index = _damping_index(3, (2, 0), 3)
+    for table in (k, k1, w, w_inv, m, m_jitter, index, dfs_protocol._sift_index(3, 1, 2)):
         assert not table.flags.writeable
     assert k.tolist() == [[bin(a & 0b101).count("1") - bin(b & 0b101).count("1")
                            for b in range(8)] for a in range(8)]
     assert k1.tolist() == [[(a & 1) - (b & 1) for b in range(8)] for a in range(8)]
     assert np.array_equal(w_inv, w.conj().T)
+    # Entry (a, b) reads the table at the position of its pair (k, k1).
+    assert np.array_equal(m.reshape(-1)[index], k)
+    assert np.array_equal(m_jitter.reshape(-1)[index], k1)
 
 
 def test_fresh_spec_with_known_basis_and_register_misses_no_cache(rng):
     # link_sweep builds new specs every op: the tables must be found by basis
     # value and register shape, not by spec object.
-    caches = (_differences, _basis_change, dfs_protocol._sift_index)
+    caches = (_check_basis, _pairs, _differences, _damping_index, _basis_change,
+              dfs_protocol._sift_index)
     rho = random_density(8, rng)
 
     def fresh_spec():
@@ -532,6 +542,60 @@ def test_fresh_spec_with_known_basis_and_register_misses_no_cache(rng):
     assert first[0].matrix.tobytes() == second[0].matrix.tobytes()
     assert first[1].state.matrix.tobytes() == second[1].state.matrix.tobytes()
     assert first[2].matrix.tobytes() == second[2].matrix.tobytes()
+
+
+@pytest.mark.parametrize("basis", [np.eye(2), CIRCULAR_BASIS], ids=["hv", "circular"])
+@pytest.mark.parametrize("baseline_first", [False, True])
+def test_fresh_spec_evaluates_its_characteristic_once(monkeypatch, basis, baseline_first):
+    # The probe's pair and the baseline's single photon read one table.
+    calls = []
+    original = DephasingSpec.characteristic
+
+    def counted(self, m, m_jitter):
+        calls.append(self)
+        return original(self, m, m_jitter)
+
+    monkeypatch.setattr(DephasingSpec, "characteristic", counted)
+    spec = DephasingSpec(basis=basis, mean_phase=0.3, per_photon_sigma=0.4, delta_sigma=0.2,
+                         distribution="gaussian")
+    pin = ProtocolInput(prepare_phi_minus().density(), spec)
+    stages = [distribute, baseline_direct]
+    for stage in stages[::-1] if baseline_first else stages:
+        stage(pin)
+    assert calls == [spec]
+
+
+_SHAPE = re.escape("dephasing basis must be a finite 2x2 matrix of column states")
+
+
+@pytest.mark.parametrize("basis, match", [
+    ([[np.nan, 0], [0, 1]], _SHAPE),
+    ([[1, 0], [0, np.inf]], _SHAPE),
+    ([[1.0, 1.0], [0.0, 0.0]], re.escape("dephasing basis is not orthonormal within 1e-12")),
+    (np.eye(3), _SHAPE),
+], ids=["nan", "inf", "not-orthonormal", "3x3"])
+def test_basis_check_rejects_a_bad_basis_every_time(basis, match):
+    # The basis checks are cached by value; a rejection must not be.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            DephasingSpec(basis=basis)
+
+
+def test_spec_basis_and_kind_ignore_later_changes_to_the_callers_array():
+    for basis, computational in ((np.eye(2, dtype=complex), True),
+                                 (CIRCULAR_BASIS.copy(), False)):
+        before = basis.copy()
+        spec = DephasingSpec(basis=basis)
+        basis[...] = CIRCULAR_BASIS if computational else np.eye(2)
+        assert np.array_equal(spec.basis, before)
+        assert spec.is_computational() is computational
+
+
+def test_basis_within_tolerance_of_identity_is_computational():
+    near = np.diag([np.exp(4e-13j), 1.0])
+    assert near.tobytes() != np.eye(2, dtype=complex).tobytes()
+    assert DephasingSpec(basis=near).is_computational()
+    assert not DephasingSpec(basis=np.diag([np.exp(2e-12j), 1.0])).is_computational()
 
 
 def test_spec_validation():

@@ -3,9 +3,11 @@
 The link's Choi matrix is read off the public pipeline: distributing |Phi+>
 of (reference, S) with the Dbar branch kept returns J / (2 p_success).  The
 Kronecker helper is checked against NumPy's ``kron``.  ``rotate_basis`` and
-``qpg_sift`` read cached index tables and basis changes; they are checked bit
-for bit against references that rebuild everything per call.  The states
-that the stage maps return unchecked are put through the checks they skip.
+``qpg_sift`` read cached index tables and basis changes, and ``rotate_basis``
+gathers its damping from a per-spec table of characteristic values; they are
+checked bit for bit against references that rebuild everything per call.
+The states that the stage maps return unchecked are put through the checks
+they skip.
 """
 
 import itertools
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
-from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
+from dfslink.channels import (CIRCULAR_BASIS, DephasingSpec, _basis_change, _damping,
+                              _differences, rotate_basis)
 from dfslink import dfs_protocol
 from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute, qpg_sift
 from dfslink.qmath import DensityOperator, StateVector, kron, partial_trace, tensor
@@ -32,6 +35,10 @@ def su2(theta, a, b):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[np.exp(1j * a) * c, -np.exp(-1j * b) * s],
                      [np.exp(1j * b) * s, np.exp(-1j * a) * c]])
+
+
+def phased(a, b):
+    return np.diag(np.exp(1j * np.array([a, b])))
 
 
 bases = st.one_of(st.just(np.eye(2)), st.just(CIRCULAR_BASIS),
@@ -122,7 +129,7 @@ def reference_sift(rho, s, sprime):
 def random_basis(kind, rng):
     a = rng.uniform(-np.pi, np.pi, 3)
     return {"hv": np.eye(2), "circular": CIRCULAR_BASIS, "su2": su2(*a),
-            "phased": np.diag(np.exp(1j * a[:2]))}[kind]
+            "phased": phased(*a[:2])}[kind]
 
 
 @pytest.mark.parametrize("kind", ["hv", "circular", "su2", "phased"])
@@ -148,6 +155,36 @@ def test_rotate_basis_and_sift_match_per_call_reference(n, kind):
                 for s, sprime in (order[-2:], order[-2:][::-1]) if n > 1 else ():
                     sifted = qpg_sift(out, s, sprime)
                     assert sifted.matrix.tobytes() == reference_sift(out, s, sprime).tobytes()
+
+
+huge_phases = st.one_of(st.floats(1e300, 1.7e308), st.floats(-1.7e308, -1e300))
+damping_specs = st.builds(
+    DephasingSpec, basis=st.one_of(bases, st.builds(phased, angles, angles)),
+    mean_phase=st.one_of(angles, huge_phases),
+    per_photon_sigma=st.one_of(sigmas, st.just(1e200)),
+    delta_sigma=st.one_of(st.just(0.0), sigmas, st.just(1e200)), distribution=distributions)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=damping_specs, n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_gathered_damping_is_the_grid_formula(spec, n, seed):
+    # Calls with 1, then 2, then 3 channel photons: the spec's table is made
+    # for 2 and grows for 3.  Jitter allows at most 2.
+    rng = np.random.default_rng(seed)
+    rho = random_density(2**n, rng)
+    order = tuple(int(q) for q in rng.permutation(n))
+    most = min(n, 2 if spec.delta_sigma else 3)
+    for k in range(1, most + 1):
+        ordered = order[:k]
+        grid = spec.characteristic(*_differences(n, ordered))
+        assert _damping(spec, n, ordered).tobytes() == grid.tobytes()
+        if spec.is_computational():
+            expected = rho.matrix * grid
+        else:
+            w, w_inv = _basis_change(spec.basis.tobytes(), n, ordered)
+            expected = w_inv @ ((w @ rho.matrix @ w_inv) * grid) @ w
+        assert rotate_basis(spec, rho, ordered).matrix.tobytes() == expected.tobytes()
+    assert spec._table[0] == max(2, most)
 
 
 def assert_passes_skipped_checks(out, trace_bound):

@@ -223,6 +223,7 @@ def test_trusted_state_is_frozen_in_place_with_its_trace():
     m = np.diag([0.5, 0.25]).astype(complex)
     rho = DensityOperator._trusted(m)
     assert rho.matrix is m and not m.flags.writeable
+    assert "norm" not in vars(rho)  # the trace is taken when norm is read
     assert rho.norm == 0.75 == DensityOperator(m).norm
     # Unchecked: a matrix the constructor rejects passes, so only map
     # outputs of checked states may come this way.
