@@ -12,13 +12,14 @@ E[exp(i m phi)] of the phase distribution.  :func:`collective_dephase`,
 preconditions of their H/V case and call it.  A Monte-Carlo phase-sampling
 route exists only as a test oracle.
 
-Work that does not depend on a spec's numbers is done once and shared by
-fresh specs: each basis value is checked once, and the tables that depend
-only on the register shape (the damping's gather index) or on it and the
-basis values (a non-H/V basis change) are built once and cached read-only.
-A spec evaluates ``characteristic`` once, on the few (m, m_jitter) pairs a
-register can hold, and every dephasing call gathers its damping from that
-table.  Outputs are the same bits as building everything per call.
+A spec is checked where it is built, and every entry point checks the
+kinds of its arguments; the kernel's output is not re-checked (see
+:func:`rotate_basis`).  Work that does not depend on a spec's numbers is
+cached read-only and shared by fresh specs: each basis value is checked
+once, and the gather index of the damping and a non-H/V basis change are
+built once per register shape and basis value.  A spec evaluates
+``characteristic`` once, into a private table that every dephasing call
+gathers its damping from.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ _BASIS_SHAPE = "dephasing basis must be a finite 2x2 matrix of column states"
 @functools.lru_cache(maxsize=32)
 def _check_basis(basis: bytes) -> bool:
     """Whether the 2x2 basis with these bytes is H/V; raises unless it is
-    finite and orthonormal.  Keyed on the values, so a basis value is checked
-    once; a rejection is not cached and raises every time."""
+    finite and orthonormal (a rejection is not cached)."""
     b = np.frombuffer(basis, dtype=complex).reshape(2, 2)
     if not np.isfinite(b).all():
         raise ValueError(_BASIS_SHAPE)
@@ -75,14 +75,9 @@ class DephasingSpec:
     """Parametrization of the channel phase noise.
 
     A spec is immutable: its fields cannot be rebound and ``basis`` is a
-    read-only copy of the array passed in.  ``dfs_protocol.distribute``
-    caches the link map it derives from a spec for as long as that spec
-    object lives.  Construction validates and copies; the basis checks run
-    once per basis value and the dephasing tables are cached by register
-    shape and basis value, not by spec, so a fresh spec reuses both.  The
-    first dephasing call evaluates ``characteristic`` into a small private
-    table of the spec, which later calls gather from.  Phases and spreads
-    must be finite real scalars.
+    read-only copy of the array passed in, so ``dfs_protocol.distribute``
+    may keep the link map it derives from a spec while that spec lives.
+    Phases and spreads must be finite real scalars.
 
     Attributes
     ----------
@@ -107,10 +102,8 @@ class DephasingSpec:
     per_photon_sigma: float = 0.0
     delta_sigma: float = 0.0
     distribution: str = "uniform"
-    # Worked out once per spec: every dephasing call asks for it.
     _computational: bool = field(init=False, repr=False)
-    # (k, characteristic on _pairs(k), flattened), set by the first dephasing
-    # call and rebuilt larger when a call has more than k channel photons.
+    # (k, characteristic on _pairs(k)): see _damping.
     _table: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -181,51 +174,33 @@ def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
 
 
 @functools.lru_cache
-def _occupation(n: int, photons: tuple[int, ...]) -> np.ndarray:
-    """k[i]: the number of ``photons`` in basis state 1 in ket i (read-only)."""
-    shifts = n - 1 - np.asarray(photons)
-    return _freeze(((np.arange(2**n)[:, None] >> shifts) & 1).sum(axis=1))
-
-
-@functools.lru_cache(maxsize=32)
-def _differences(n: int, photons: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Excitation differences ket minus bra (read-only): of all ``photons``,
-    and of the first one, which carries the jitter."""
-    k, k1 = _occupation(n, photons), _occupation(n, photons[:1])
-    return _freeze(k[:, None] - k), _freeze(k1[:, None] - k1)
-
-
-@functools.lru_cache
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, m_jitter) grids of a spec's characteristic table (read-only):
-    m in [-k, k] down the rows, m_jitter in {-1, 0, 1} across, so pair
-    (m, m_jitter) sits at flat position (m + k) * 3 + (m_jitter + 1)."""
-    m = np.arange(-k, k + 1)
-    return (_freeze(np.repeat(m[:, None], 3, axis=1)),
-            _freeze(np.tile(np.arange(-1, 2), (m.size, 1))))
+    """The (m, m_jitter) pairs of a spec's characteristic table, flat and
+    read-only: m in [-k, k] and m_jitter in {-1, 0, 1}, pair (m, m_jitter)
+    at position (m + k) * 3 + (m_jitter + 1)."""
+    return (_freeze(np.repeat(np.arange(-k, k + 1), 3)),
+            _freeze(np.tile(np.arange(-1, 2), 2 * k + 1)))
 
 
 @functools.lru_cache(maxsize=32)
 def _damping_index(n: int, photons: tuple[int, ...], k: int) -> np.ndarray:
-    """The flat position in a spec's k-table of each entry's (m, m_jitter)
-    from :func:`_differences` (read-only); k is at least len(photons)."""
-    m, m_jitter = _differences(n, photons)
-    return _freeze((m + k) * 3 + (m_jitter + 1))
+    """The position in :func:`_pairs` (k) of each entry's (m, m_jitter), the
+    excitation differences ket minus bra of all ``photons`` and of the first
+    (read-only); k is at least len(photons)."""
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.asarray(photons))) & 1
+    ket = 3 * bits.sum(axis=1) + bits[:, 0]
+    return _freeze(ket[:, None] - ket + (3 * k + 1))
 
 
 def _damping(spec: DephasingSpec, n: int, photons: tuple[int, ...]) -> np.ndarray:
-    """``spec.characteristic(*_differences(n, photons))``, the same bits,
-    gathered from the spec's table of characteristic values.
-
-    The table holds every pair (m, m_jitter) that k >= len(photons) channel
-    photons can give.  The first call evaluates it with k >= 2, the link's
-    pair, so the probe and the single-photon baseline share it; a later
-    call with more photons rebuilds it larger.
-    """
+    """``spec.characteristic`` at each entry's (m, m_jitter), gathered from
+    the spec's table.  The first call makes the table for k >= 2 channel
+    photons, the link's pair, so the probe and the single-photon baseline
+    share it; a call with more photons rebuilds it larger."""
     table = spec._table
     if table is None or table[0] < len(photons):
         k = max(2, len(photons))
-        table = (k, _freeze(spec.characteristic(*_pairs(k)).reshape(-1)))
+        table = (k, _freeze(spec.characteristic(*_pairs(k))))
         object.__setattr__(spec, "_table", table)
     k, values = table
     return values.take(_damping_index(n, photons, k))
@@ -234,8 +209,7 @@ def _damping(spec: DephasingSpec, n: int, photons: tuple[int, ...]) -> np.ndarra
 @functools.lru_cache(maxsize=32)
 def _basis_change(basis: bytes, n: int, photons: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The register basis change w into the spec basis and its inverse
-    w^dagger (both read-only).  ``basis`` is the bytes of the spec's basis
-    matrix: keyed on its values, a fresh spec with a known basis hits."""
+    w^dagger (both read-only); ``basis`` is the bytes of the basis matrix."""
     binv = np.frombuffer(basis, dtype=complex).reshape(2, 2).conj().T
     w = np.array([[1.0]], dtype=complex)
     for q in range(n):
@@ -300,13 +274,6 @@ def rotate_basis(spec: DephasingSpec, rho: DensityOperator, photons) -> DensityO
     state's matrix as it is; other bases conjugate the channel photons into
     the spec basis and back.  The jitter rides on the first photon listed,
     so jitter needs one photon or an ordered pair.
-
-    ``characteristic`` runs once per spec, on the few (m, m_jitter) pairs a
-    register can hold (see :func:`_damping`).  The index that gathers the
-    damping from them is cached per ``(n, ordered photons, table size)``
-    and a non-H/V basis change per basis value as well, so only the gather
-    and the products run per call; the result is the same bits as building
-    everything afresh.
 
     The output state is not re-checked.  The damping is the characteristic
     matrix E[u u^dagger] of the random phase vector u, a Gram matrix with

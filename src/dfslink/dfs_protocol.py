@@ -14,10 +14,10 @@ is one trace-decreasing map from one qubit to one qubit.  Encoding does not
 depend on the channel, so the encoded probe (|Phi+> of (reference, S) plus
 the ancilla) is a constant; :func:`distribute` dephases and sifts it, takes
 the link's Choi tensor as 2 x the sifted probe and applies it to the last
-qubit of the caller's register.  The tensor is computed once per spec
-object and kept, read-only, for as long as that (immutable) spec lives.
-The stages are plain maps on states and remain the only statement of the
-physics.
+qubit of the caller's register.  The tensor is kept, read-only, for as
+long as its (immutable) spec object lives, and :func:`qpg_sift`'s index per
+register shape and photon pair.  The stages are plain maps on states and
+remain the only statement of the physics.
 
 State bookkeeping: the protocol input orders qubits (spectators..., S); the
 ancilla is appended last, and after sifting the surviving logical qubit takes
@@ -139,9 +139,7 @@ def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOp
     qubit at S's slot, S' removed); its ``norm`` is the sift probability.
     Relabeling |HV> -> |H>, |VH> -> |V> absorbs the receiver's 90 degree
     rotation of the long-arm photon, so each output ket j is the input ket
-    with S's bit of j and the opposite bit inserted at S'.  That index is
-    cached per ``(n, s_index, sprime_index)``; the output is the same bits
-    as computing it per call.
+    with S's bit of j and the opposite bit inserted at S'.
 
     The output state is not re-checked: a principal submatrix of a positive
     matrix is positive with at most its trace, and averaging it with its
@@ -189,12 +187,11 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     """Full pipeline: encode, dephase, sift, decode.
 
     The constant encoded probe is dephased and sifted; the link's Choi
-    tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>.
-    J is computed on the first call with a given spec object and reused on
-    later calls with the same object while it lives.  J acts on the last
-    qubit of the input register, and the outcome is :func:`decode`'s on the
-    link output, whose ``norm`` is the sift probability: the output lives on
-    (spectators..., Y) and the branch map covers {D, Dbar, sift_fail}.
+    tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>,
+    kept per spec object.  J acts on the last qubit of the input register,
+    and the outcome is :func:`decode`'s on the link output, whose ``norm``
+    is the sift probability: the output lives on (spectators..., Y) and the
+    branch map covers {D, Dbar, sift_fail}.
     """
     _require_input(inp)
     spec = inp.channel_spec

@@ -9,17 +9,17 @@ Conventions used throughout the package:
 * conditional (post-selected) states are kept sub-normalized and carry
   their trace as ``norm`` instead of being silently renormalized.
 
-States are validated where they enter.  The ``DensityOperator``
-constructor checks that its matrix is finite, Hermitian, of trace in
-[0, 1] and positive semidefinite.  A caller's matrix always goes through
-it, as do ``StateVector.density()``, ``normalized()`` and the link output
-of ``dfs_protocol.distribute``.  A state that a dfslink map derives from
-checked states skips those checks (``DensityOperator._trusted``): the map
-is positive and does not increase the trace, so the checks could not fail.
-These maps are :func:`tensor` and :func:`partial_trace` of
-``DensityOperator``s here, and the dephasing and sifting stages
-``channels.rotate_basis`` and ``dfs_protocol.qpg_sift``; each docstring
-says why its map keeps positivity and trace.
+States are validated where they enter: the ``DensityOperator`` constructor
+checks that its matrix is finite, Hermitian, of trace in [0, 1] and positive
+semidefinite, keeps a read-only copy and records the trace as ``norm``.  A
+caller's matrix always goes through it, as do ``StateVector.density()``,
+``normalized()`` and the link output of ``dfs_protocol.distribute``.  The
+output of a positive, trace-non-increasing dfslink map of checked states
+skips the checks and the copy (``DensityOperator._trusted``), and takes its
+trace only when ``norm`` is first read.  These maps are :func:`tensor`,
+:func:`partial_trace`, ``channels.rotate_basis`` and
+``dfs_protocol.qpg_sift``; each docstring says why its map keeps positivity
+and trace.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ class DensityOperator:
 
     The matrix may be sub-normalized (post-selected conditional states); its
     trace is ``norm``.  ``normalized()`` divides it out.
-
-    The constructor checks its matrix and keeps a read-only copy; the
-    private ``_trusted`` skips both for map outputs (see the module
-    docstring).  The constructor records ``norm`` from the trace it checks;
-    a ``_trusted`` state takes the trace only when ``norm`` is first read.
     """
 
     matrix: np.ndarray

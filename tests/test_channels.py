@@ -16,8 +16,6 @@ from dfslink.channels import (
     _basis_change,
     _check_basis,
     _damping_index,
-    _differences,
-    _occupation,
     _pairs,
     apply_phase_damping,
     collective_dephase,
@@ -496,34 +494,35 @@ def test_spec_is_immutable():
     assert np.array_equal(spec.basis, CIRCULAR_BASIS)
 
 
-def test_occupation_vector_is_read_only_and_counts_photons():
-    # One entry per ket: how many of the listed photons it has in state 1.
-    k = _occupation(3, (0, 2))
-    assert not k.flags.writeable
-    assert k.tolist() == [bin(i & 0b101).count("1") for i in range(8)]
+def test_gather_index_counts_photons_per_ket():
+    # Against the bra |000>, entry (a, 0) reads the pair (how many of the
+    # listed photons ket a has in state 1, the first photon's bit).
+    m, m_jitter = _pairs(3)
+    index = _damping_index(3, (0, 2), 3)
+    assert not index.flags.writeable
+    assert m[index[:, 0]].tolist() == [bin(i & 0b101).count("1") for i in range(8)]
+    assert m_jitter[index[:, 0]].tolist() == [(i >> 2) & 1 for i in range(8)]
 
 
 def test_cached_tables_are_read_only():
-    k, k1 = _differences(3, (2, 0))
     w, w_inv = _basis_change(CIRCULAR_BASIS.tobytes(), 3, (2, 0))
     m, m_jitter = _pairs(3)
     index = _damping_index(3, (2, 0), 3)
-    for table in (k, k1, w, w_inv, m, m_jitter, index, dfs_protocol._sift_index(3, 1, 2)):
+    for table in (w, w_inv, m, m_jitter, index, dfs_protocol._sift_index(3, 1, 2)):
         assert not table.flags.writeable
-    assert k.tolist() == [[bin(a & 0b101).count("1") - bin(b & 0b101).count("1")
-                           for b in range(8)] for a in range(8)]
-    assert k1.tolist() == [[(a & 1) - (b & 1) for b in range(8)] for a in range(8)]
     assert np.array_equal(w_inv, w.conj().T)
-    # Entry (a, b) reads the table at the position of its pair (k, k1).
-    assert np.array_equal(m.reshape(-1)[index], k)
-    assert np.array_equal(m_jitter.reshape(-1)[index], k1)
+    # Entry (a, b) reads the table at the position of its pair: the
+    # differences ket minus bra of all photons and of the first (photon 2).
+    assert m[index].tolist() == [[bin(a & 0b101).count("1") - bin(b & 0b101).count("1")
+                                  for b in range(8)] for a in range(8)]
+    assert m_jitter[index].tolist() == [[(a & 1) - (b & 1) for b in range(8)]
+                                        for a in range(8)]
 
 
 def test_fresh_spec_with_known_basis_and_register_misses_no_cache(rng):
     # link_sweep builds new specs every op: the tables must be found by basis
     # value and register shape, not by spec object.
-    caches = (_check_basis, _pairs, _differences, _damping_index, _basis_change,
-              dfs_protocol._sift_index)
+    caches = (_check_basis, _pairs, _damping_index, _basis_change, dfs_protocol._sift_index)
     rho = random_density(8, rng)
 
     def fresh_spec():

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
-from dfslink.channels import (CIRCULAR_BASIS, DephasingSpec, _basis_change, _damping,
-                              _differences, rotate_basis)
+from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, _basis_change, _damping, rotate_basis
 from dfslink import dfs_protocol
 from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute, qpg_sift
 from dfslink.qmath import DensityOperator, StateVector, kron, partial_trace, tensor
@@ -97,14 +96,20 @@ def test_kron_matches_numpy(data, ndim):
     assert np.array_equal(out, expected)
 
 
-def reference_rotate_basis(spec, rho, photons):
-    """The dephasing kernel with every table built in place: occupation
-    counts, difference grids and the qmath.kron chain of the basis change."""
-    n = rho.num_qubits
+def reference_differences(n, photons):
+    """The excitation differences ket minus bra, built in place from
+    occupation counts: of all ``photons``, and of the first one."""
     kets = np.arange(2**n)
     k = sum((kets >> (n - 1 - p)) & 1 for p in photons)
     k1 = (kets >> (n - 1 - photons[0])) & 1
-    damping = spec.characteristic(k[:, None] - k, k1[:, None] - k1)
+    return k[:, None] - k, k1[:, None] - k1
+
+
+def reference_rotate_basis(spec, rho, photons):
+    """The dephasing kernel with every table built in place: difference
+    grids and the qmath.kron chain of the basis change."""
+    n = rho.num_qubits
+    damping = spec.characteristic(*reference_differences(n, photons))
     if spec.is_computational():
         return rho.matrix * damping
     w = np.array([[1.0]], dtype=complex)
@@ -176,7 +181,7 @@ def test_gathered_damping_is_the_grid_formula(spec, n, seed):
     most = min(n, 2 if spec.delta_sigma else 3)
     for k in range(1, most + 1):
         ordered = order[:k]
-        grid = spec.characteristic(*_differences(n, ordered))
+        grid = spec.characteristic(*reference_differences(n, ordered))
         assert _damping(spec, n, ordered).tobytes() == grid.tobytes()
         if spec.is_computational():
             expected = rho.matrix * grid
