@@ -24,6 +24,7 @@ import numpy as np
 
 from .qmath import (
     _freeze,
+    _huge_as_inf,
     _require_state,
     KET_D,
     KET_DBAR,
@@ -115,7 +116,7 @@ class MeasSetting:
             if isinstance(a, str):
                 if a not in _NAMED_ANALYZERS:
                     raise ValueError(f"unknown analyzer label {a!r}")
-            elif not math.isfinite(a):
+            elif not _huge_as_inf(math.isfinite, a):
                 raise ValueError(f"analyzer angle must be finite, got {a!r}")
             else:
                 object.__setattr__(self, name, _canonical_angle(a))
@@ -144,9 +145,10 @@ class CountRecord:
     def __post_init__(self):
         if not isinstance(self.setting, MeasSetting):
             raise ValueError(f"setting must be a MeasSetting, got {self.setting!r}")
-        if not (math.isfinite(self.count) and self.count >= 0):
+        if not (_huge_as_inf(math.isfinite, self.count) and self.count >= 0):
             raise ValueError("counts must be finite and non-negative")
-        if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
+        if self.scale is not None and not (_huge_as_inf(math.isfinite, self.scale)
+                                           and self.scale > 0):
             raise ValueError("scale must be finite and positive")
 
 
@@ -169,7 +171,7 @@ def _chsh_terms(settings: Sequence[float]) -> list:
     """(sign, analyzer pairs) of each term of S = E(a,b) - E(a,b') + E(a',b)
     + E(a',b') for the angles (a, a', b, b'); a term's pairs are
     {a, a+90} x {b, b+90} in the order ++, +-, -+, --."""
-    if len(settings) != 4 or not all(map(math.isfinite, settings)):
+    if len(settings) != 4 or not all(_huge_as_inf(math.isfinite, a) for a in settings):
         raise ValueError(f"CHSH settings must be four finite angles, got {settings!r}")
     a, ap, b, bp = settings
     return [(sign, [(ta + da, tb + db) for da in (0.0, 90.0) for db in (0.0, 90.0)])
@@ -286,7 +288,7 @@ def simulate_counts(
     if rho.dim != 4:
         raise ValueError("simulate_counts requires a two-qubit state")
     try:
-        totals_arr = np.broadcast_to(np.asarray(totals, dtype=float), (len(settings),))
+        totals_arr = np.broadcast_to(_huge_as_inf(np.asarray, totals, float), (len(settings),))
     except ValueError:
         raise ValueError("totals must be a scalar or one per setting") from None
     if not (np.isfinite(totals_arr).all() and (totals_arr > 0).all()):
@@ -459,10 +461,17 @@ def tomo_mle(
 
     The fit stops once ``gap`` = lambda_max(Omega) - tr(Omega rho), with
     Omega = sum_k (n_k / p_k - N_k) P_k, is at most 1e-6.  The likelihood is
-    concave in rho, so no state has a log-likelihood above the estimate's
-    plus ``gap``; ``converged`` means that certificate holds.  Otherwise,
-    after ``max_iterations`` steps or when no step raises the likelihood,
-    ``converged`` is False.
+    concave in rho, so in exact arithmetic no state has a log-likelihood
+    above the estimate's plus ``gap``; ``converged`` means that certificate
+    holds.  Otherwise, after ``max_iterations`` steps or when no step raises
+    the likelihood, ``converged`` is False.  The reported
+    ``log_likelihood`` is a float sum: it is within gamma_{K+4} sum_k (n_k
+    (|log mu_k| + 1) + mu_k) of the exact value at the fit's p_k, where
+    gamma_m = m u / (1 - m u), u = 2^-53 and K is the number of records.
+    That is the summation bound of the two K-term sums plus the rounding of
+    each product, log and the final difference.  So no other fit's reported
+    log-likelihood exceeds this one's plus ``gap`` by more than the two
+    fits' bounds; it can exceed it by an ulp or two.
 
     U holds the eigenvectors of the linear estimate, eigenvalues ascending,
     and T starts diagonal: the start is the linear estimate with eigenvalues
@@ -616,7 +625,7 @@ class DelayScanModel:
 
     def __post_init__(self):
         for name in ("background", "visibility", "coherence_fwhm"):
-            if not math.isfinite(getattr(self, name)):
+            if not _huge_as_inf(math.isfinite, getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.coherence_fwhm <= 0:
             raise ValueError("coherence FWHM must be positive")
@@ -625,16 +634,16 @@ class DelayScanModel:
 
 
 def delay_scan(model: DelayScanModel, delays) -> tuple[np.ndarray, np.ndarray]:
-    """Coincidence curves for parallel (DD) and crossed (D,Dbar) analyzers.
+    """Coincidence curves B (1 + V g) / 2 and B (1 - V g) / 2, with g a
+    Gaussian envelope of FWHM equal to the coherence length.
 
-    C_DD = B (1 + V g) / 2 and C_DDbar = B (1 - V g) / 2 with a Gaussian
-    envelope g of FWHM equal to the coherence length.
+    With the sign V = -<XX> (|Phi-> has V = 1), the first curve is the
+    crossed port, P(D, Dbar) + P(Dbar, D) at zero delay for B = 1, and the
+    second the parallel port, P(D, D) + P(Dbar, Dbar).
     """
     d = np.asarray(delays, dtype=float)
-    g = np.exp(-4.0 * math.log(2.0) * (d / model.coherence_fwhm) ** 2)
-    c_dd = model.background * (1.0 + model.visibility * g) / 2.0
-    c_ddbar = model.background * (1.0 - model.visibility * g) / 2.0
-    return c_dd, c_ddbar
+    vg = model.visibility * np.exp(-4.0 * math.log(2.0) * (d / model.coherence_fwhm) ** 2)
+    return model.background * (1.0 + vg) / 2.0, model.background * (1.0 - vg) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,10 +665,10 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
     is searched on [span/50, 10 span] (span: the delay range), 17 widths a
     round, zooming to the best one's neighbours until the bracket is below
     1e-9 relative.  ``converged`` is False at an end of that range, as when
-    V = 0 leaves the width undetermined.  ``residuals`` are weighted, DD first.
+    V = 0 leaves the width undetermined.  ``residuals`` are weighted,
+    ``counts_dd``'s first.
     """
-    d = np.asarray(delays, dtype=float)
-    dd, ddbar = (np.asarray(c, dtype=float) for c in (counts_dd, counts_ddbar))
+    d, dd, ddbar = (_huge_as_inf(np.asarray, c, float) for c in (delays, counts_dd, counts_ddbar))
     if d.ndim != 1 or d.size < 5 or dd.shape != d.shape or ddbar.shape != d.shape:
         raise ValueError("need at least five 1-D delays and counts of equal length")
     y = np.concatenate([dd, ddbar])
@@ -706,7 +715,7 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
 def transform_limited_fwhm(wavelength: float, bandwidth: float) -> float:
     """Coherence length (FWHM) of a Gaussian spectrum:
     (2 ln2 / pi) lambda^2 / dlambda, same length units in and out."""
-    if not (math.isfinite(wavelength) and math.isfinite(bandwidth)
+    if not (_huge_as_inf(math.isfinite, wavelength) and _huge_as_inf(math.isfinite, bandwidth)
             and wavelength > 0 and bandwidth > 0):
         raise ValueError("wavelength and bandwidth must be finite and positive")
     return (2.0 * math.log(2.0) / math.pi) * wavelength**2 / bandwidth

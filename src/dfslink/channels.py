@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import (ATOL_STRICT, DensityOperator, _freeze, _qubit_indices, _require_state,
-                    kron)
+from .qmath import (ATOL_STRICT, DensityOperator, _freeze, _huge_as_inf, _qubit_indices,
+                    _require_state, kron)
 
 __all__ = [
     "DephasingSpec",
@@ -107,7 +107,7 @@ class DephasingSpec:
     _table: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
+        b = _huge_as_inf(np.asarray, self.basis, complex)
         if b.shape != (2, 2):
             raise ValueError(_BASIS_SHAPE)
         computational = _check_basis(b.tobytes())
@@ -115,11 +115,7 @@ class DephasingSpec:
             value = getattr(self, name)
             if not isinstance(value, _REAL):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
+            if not _huge_as_inf(math.isfinite, value):
                 raise ValueError(f"{name} must be finite")
         if self.per_photon_sigma < 0 or self.delta_sigma < 0:
             raise ValueError("sigma parameters must be non-negative")
@@ -184,9 +180,9 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def _damping_index(n: int, photons: tuple[int, ...], k: int) -> np.ndarray:
-    """The position in :func:`_pairs` (k) of each entry's (m, m_jitter), the
-    excitation differences ket minus bra of all ``photons`` and of the first
-    (read-only); k is at least len(photons)."""
+    """Each entry's position in the pairs of :func:`_pairs` (k) (read-only):
+    its (m, m_jitter), the excitation differences ket minus bra of all
+    ``photons`` and of the first; k is at least len(photons)."""
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.asarray(photons))) & 1
     ket = 3 * bits.sum(axis=1) + bits[:, 0]
     return _freeze(ket[:, None] - ket + (3 * k + 1))

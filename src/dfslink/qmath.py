@@ -25,7 +25,9 @@ and trace.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,6 +63,25 @@ ATOL_CHANNEL = 1e-10
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _inf_if_huge(x):
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        return math.inf if x > 0 else -math.inf
+    return x
+
+
+_INF_IF_HUGE = np.frompyfunc(_inf_if_huge, 1, 1)
+
+
+def _huge_as_inf(convert, value, *args):
+    """``convert(value, *args)``, reading each int beyond the float range as
+    +-inf where it would raise ``OverflowError``, so that a check rejects it
+    with its message for inf.  Only such a value takes the second pass."""
+    try:
+        return convert(value, *args)
+    except OverflowError:
+        return convert(_INF_IF_HUGE(np.asarray(value, dtype=object)), *args)
 
 
 def _num_qubits(dim: int) -> int:
@@ -103,7 +124,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amp = _huge_as_inf(np.asarray, self.amplitudes, complex).reshape(-1)
         if amp.size < 1:
             raise ValueError("state vector needs at least one amplitude")
         if not np.all(np.isfinite(amp.view(float))):
@@ -143,7 +164,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _huge_as_inf(np.asarray, self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if m.shape[0] == 0:
@@ -265,7 +286,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     Raises on inputs that are not finite or not Hermitian within 1e-10.
     """
     try:
-        mat = np.asarray(m, dtype=complex)
+        mat = _huge_as_inf(np.asarray, m, complex)
     except (TypeError, ValueError):  # not array-like, e.g. a DensityOperator
         mat = np.empty(0)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():

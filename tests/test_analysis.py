@@ -626,6 +626,38 @@ def test_tomo_mle_gap_certifies_the_optimum(rng, case):
             assert loglik((1 - weight) * rho_hat + weight * sigma) <= bound
 
 
+def _rounding_bound(records, rho):
+    """tomo_mle's stated bound on the rounding of a reported log-likelihood:
+    gamma_{K+4} sum_k (n_k (|log mu_k| + 1) + mu_k), mu_k = N_k <P_k>."""
+    counts = np.array([r.count for r in records], dtype=float)
+    mu = np.array([r.scale * np.real(np.trace(r.setting.joint_projector() @ rho.matrix))
+                   for r in records])
+    seen = counts > 0
+    m = (len(records) + 4) * 2.0**-53
+    return m / (1 - m) * (counts[seen] @ (np.abs(np.log(mu[seen])) + 1) + mu.sum())
+
+
+def test_tomo_mle_certificate_holds_within_its_rounding_bound():
+    # The same records fitted in two orders give two certified estimates.  In
+    # exact arithmetic neither log-likelihood exceeds the other's plus its
+    # gap; the reported floats do, by an ulp or two, on some of these seeds,
+    # and never by more than the two fits' stated rounding bounds.
+    broken = 0
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        rho = random_density(4, rng, rank=1 + seed % 4)
+        records = simulate_counts(rho, tomography_settings(), (300, 1000, 5000)[seed // 4 % 3],
+                                  seed=seed)
+        fits = tomo_mle(records), tomo_mle(records[::-1])
+        assert all(f.converged for f in fits)
+        slack = sum(_rounding_bound(records, f.rho_hat) for f in fits)
+        for a, b in (fits, fits[::-1]):
+            excess = b.log_likelihood - (a.log_likelihood + a.gap)
+            broken += excess > 0
+            assert excess <= slack
+    assert broken >= 1
+
+
 def test_cholesky_parameter_layout():
     # diag(T), then (Re, Im) of the entries below it in row-major order.
     from dfslink.analysis import _t_from_params
@@ -816,6 +848,19 @@ def test_delay_scan_count_conservation():
     np.testing.assert_allclose(dd + ddbar, 123.0, atol=1e-12)
 
 
+def test_delay_scan_first_curve_is_the_crossed_port():
+    # Under V = -<XX>, the first curve at zero delay is P(D, Dbar) + P(Dbar, D).
+    xx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    crossed = (MeasSetting("D", "A").joint_projector()
+               + MeasSetting("A", "D").joint_projector())
+    rng = np.random.default_rng(2808)
+    for rank in (1, 2, 3, 4) * 5:
+        rho = random_density(4, rng, rank=rank).matrix
+        model = DelayScanModel(1.0, -float(np.real(np.trace(rho @ xx))), 130.0)
+        first = delay_scan(model, [0.0])[0][0]
+        assert abs(first - float(np.real(np.trace(crossed @ rho)))) <= 1e-15
+
+
 def test_gaussian_fit_round_trip():
     model = DelayScanModel(background=400.0, visibility=0.85, coherence_fwhm=130.0)
     delays = np.linspace(-300, 300, 21)
@@ -965,6 +1010,9 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
     pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H")] * 2,
                                          [100.0, math.inf], 1),
                  "totals must be finite and positive", id="inf-total"),
+    pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H")] * 2,
+                                         [100.0, 10**400], 1),
+                 "totals must be finite and positive", id="huge-int-total"),
     pytest.param(lambda: simulate_counts(DensityOperator(np.eye(2) / 2),
                                          tomography_settings(), 100.0, 1),
                  "requires a two-qubit state", id="counts-one-qubit"),
@@ -995,6 +1043,12 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  "state must be a DensityOperator", id="partial-trace-ndarray"),
     pytest.param(lambda: CountRecord("HH", 3), "setting must be a MeasSetting",
                  id="string-setting"),
+    pytest.param(lambda: CountRecord(MeasSetting("H", "H"), 10**400),
+                 "counts must be finite and non-negative", id="huge-int-count"),
+    pytest.param(lambda: CountRecord(MeasSetting("H", "H"), 3, scale=10**400),
+                 "scale must be finite and positive", id="huge-int-scale"),
+    pytest.param(lambda: MeasSetting("H", -10**400), "analyzer angle must be finite",
+                 id="huge-int-angle"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=1),
                  "at least two resamples", id="one-resample"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), _raise, n_resamples=3),
@@ -1010,12 +1064,19 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  "CHSH settings must be four finite angles", id="chsh-counts-nan-angle"),
     pytest.param(lambda: chsh_value(PHI.density(), (0.0, 45.0, 22.5, math.inf, 0.0)),
                  "CHSH settings must be four finite angles", id="chsh-five-angles"),
+    pytest.param(lambda: chsh_settings((0.0, 45.0, 10**400, -67.5)),
+                 "CHSH settings must be four finite angles", id="chsh-huge-int-angle"),
     pytest.param(lambda: DelayScanModel(400.0, 0.85, 0.0), "FWHM", id="zero-fwhm"),
     pytest.param(lambda: DelayScanModel(400.0, 0.85, -1.0), "FWHM", id="negative-fwhm"),
     pytest.param(lambda: DelayScanModel(0.0, 0.85, 130.0), "background",
                  id="zero-background"),
     pytest.param(lambda: DelayScanModel(-1.0, 0.85, 130.0), "background",
                  id="negative-background"),
+    pytest.param(lambda: DelayScanModel(400.0, 10**400, 130.0), "visibility must be finite",
+                 id="huge-int-visibility"),
+    pytest.param(lambda: transform_limited_fwhm(0.79, 10**400),
+                 "wavelength and bandwidth must be finite and positive",
+                 id="huge-int-bandwidth"),
     pytest.param(lambda: gaussian_fit([5.0] * 6, [1.0] * 6, [1.0] * 6), "nonzero range",
                  id="equal-delays"),
     pytest.param(lambda: gaussian_fit(np.zeros((2, 3)), np.ones((2, 3)), np.ones((2, 3))),
@@ -1029,6 +1090,10 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  "must be finite", id="fit-nan-count"),
     pytest.param(lambda: gaussian_fit(np.arange(6.0), [1.0] * 6, [math.inf] + [1.0] * 5),
                  "must be finite", id="fit-inf-count"),
+    pytest.param(lambda: gaussian_fit([0, 1, 2, 3, 4, 10**400], [1.0] * 6, [1.0] * 6),
+                 "delays and counts must be finite", id="fit-huge-int-delay"),
+    pytest.param(lambda: gaussian_fit(np.arange(6.0), [10**400] + [1.0] * 5, [1.0] * 6),
+                 "delays and counts must be finite", id="fit-huge-int-count"),
     pytest.param(lambda: gaussian_fit(np.arange(6.0), [1.0] * 6, [-1.0] + [1.0] * 5),
                  "non-negative", id="fit-negative-count"),
     pytest.param(lambda: gaussian_fit(np.arange(6.0), [0.0] * 6, [0.0] * 6),

@@ -143,6 +143,8 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="finite square matrix"):
         eig_hermitian(KET_H.density())
+    with pytest.raises(ValueError, match="finite square matrix"):
+        eig_hermitian([[1, 0], [0, 10**400]])
 
 
 def test_state_vector_normalize():
@@ -170,6 +172,7 @@ def test_density_operator_rejects_non_finite(dim, bad):
 @pytest.mark.parametrize("matrix, match", [
     (np.zeros((2, 3)), "square"),
     (np.zeros((0, 0)), "empty"),
+    ([[1, 0], [0, -10**400]], "entries must be finite"),
     (np.array([[0.5, 0.1], [0.2, 0.5]]), "Hermitian"),
     (np.eye(8) / 8 + 0.4e-12j * np.eye(8), "trace is not real"),
     (0.6 * np.eye(2), r"outside \[0, 1\]"),
@@ -185,6 +188,7 @@ def test_density_operator_rejection_messages(matrix, match):
 @pytest.mark.parametrize("amplitudes, match", [
     ([], "at least one amplitude"),
     ([np.nan], "finite"),
+    ([10**400, 0], "amplitudes must be finite"),
 ])
 def test_state_vector_rejection_messages(amplitudes, match):
     with pytest.raises(ValueError, match=match):
