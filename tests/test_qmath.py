@@ -172,13 +172,13 @@ def test_density_operator_rejects_non_finite(dim, bad):
 @pytest.mark.parametrize("matrix, match", [
     (np.zeros((2, 3)), "square"),
     (np.zeros((0, 0)), "empty"),
-    ([[1, 0], [0, -10**400]], "entries must be finite"),
     (np.array([[0.5, 0.1], [0.2, 0.5]]), "Hermitian"),
     (np.eye(8) / 8 + 0.4e-12j * np.eye(8), "trace is not real"),
     (0.6 * np.eye(2), r"outside \[0, 1\]"),
     (-0.1 * np.eye(2), r"outside \[0, 1\]"),
     (np.array([[1.5, 0.0], [0.0, -0.5]]), "not PSD"),
     (np.diag(np.r_[-1e-3, np.full(127, (1 + 1e-3) / 127)]), "not PSD"),
+    ([[1, 0], [0, -10**400]], "entries must be finite"),
 ])
 def test_density_operator_rejection_messages(matrix, match):
     with pytest.raises(ValueError, match=match):
