@@ -1,10 +1,11 @@
-"""Write ``golden_link.json``: checked-in outputs of the link and its baseline.
+"""Write ``golden_link.json`` and ``golden_analysis.json``: checked-in outputs
+of the link, its baseline and the analysis stack.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/write_golden.py
 
-The cases are a pure function of ``SEED``: 1-5-qubit inputs of random rank
+The link cases are a pure function of ``SEED``: 1-5-qubit inputs of random rank
 sent through ``distribute`` and ``baseline_direct`` under H/V, circular,
 random SU(2) and phased-diagonal bases, uniform and gaussian phase laws, with
 jitter and the Dbar branch each on and off, and some spreads of 1e200 and
@@ -12,6 +13,17 @@ mean phases beyond 1e300.  Full outputs would not fit in the file, so each
 case keeps, by ``repr``, the success and branch probabilities and three real
 linear functionals of each output (its trace and tr(P rho) for two fixed
 seeded Hermitian P), plus one sha256 over both outputs' bytes.
+
+The analysis cases send Phi- through three specs (the two of the benchmark's
+``paper_run`` and an H/V jitter of 1.5 rad) at 100 and 1000 expected counts
+per setting.  Each stores its tomography, CHSH and Stokes counts and a
+41-point delay scan as integers, with their scales, so that a comparison
+reads no Poisson stream; two tomography sets carry no scale.  Each keeps, by
+``repr``, ``tomo_mle``'s log-likelihood (and its stated rounding bound), gap,
+iterations, ``converged`` and three functionals of ``rho_hat``, the
+concurrence of ``rho_hat`` and of the exact state, CHSH and the Bell
+fidelity with their sds, a 5-resample ``monte_carlo_sd`` of the MLE
+concurrence, and ``gaussian_fit``'s V, L, B and ``converged``.
 ``tests/test_golden.py`` recomputes the cases and compares.
 """
 
@@ -23,9 +35,10 @@ import sys
 
 import numpy as np
 
+from dfslink import analysis as an
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec
-from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute
-from dfslink.qmath import DensityOperator
+from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute, prepare_phi_minus
+from dfslink.qmath import PAULI_X, DensityOperator
 
 SEED = 20260607
 NUM_CASES = 520
@@ -107,13 +120,107 @@ def record(inp):
         }
 
 
-def main():
-    cases = [record(case(i)[0]) for i in range(NUM_CASES)]
-    header = {"seed": SEED, "numpy": np.__version__,
-              "python": sys.version.split()[0], "cases": len(cases)}
+ANALYSIS_PATH = pathlib.Path(__file__).with_name("golden_analysis.json")
+# Gaussian specs: paper_run's collective and circular-jitter ones and an H/V
+# jitter.  Case i takes combination i (spec, total per setting, whether the
+# tomography records keep their scale): each spec and total twice, then two
+# tomography sets without scales, which pins the H/V fallback.
+ANALYSIS_SPECS = ({}, {"basis": CIRCULAR_BASIS, "per_photon_sigma": 1.0, "delta_sigma": 0.5},
+                  {"delta_sigma": 1.5})
+ANALYSIS_COMBINATIONS = [(j, total, True) for j in range(len(ANALYSIS_SPECS))
+                         for total in (100.0, 1000.0) for _ in range(2)]
+ANALYSIS_COMBINATIONS += [(1, 100.0, False), (2, 1000.0, False)]
+RECORD_SETS = {"tomography": an.tomography_settings, "chsh": an.chsh_settings,
+               "stokes": an.stokes_settings}
+# paper_run's delay grid: 41 points over +-2.5 coherence lengths.
+FWHM = an.transform_limited_fwhm(0.79, 0.003)
+DELAYS = np.linspace(-2.5 * FWHM, 2.5 * FWHM, 41)
+RESAMPLES = 5
+
+
+def exact_state(j):
+    """Phi- through analysis spec ``j``, the Dbar branch kept."""
+    spec = DephasingSpec(distribution="gaussian", **ANALYSIS_SPECS[j])
+    return distribute(ProtocolInput(prepare_phi_minus().density(), spec, True)).state
+
+
+def draw_counts(i):
+    """Analysis case ``i``'s counts as written: integers per record set and
+    the delay scan's two curves, drawn from the exact state."""
+    j, total, scaled = ANALYSIS_COMBINATIONS[i]
+    rho = exact_state(j)
+    seeds = [int(s) for s in np.random.default_rng((SEED, i)).integers(2**63, size=4)]
+    sets = {name: {"counts": [r.count for r in an.simulate_counts(rho, settings(), total, seed)],
+                   "scale": repr(total) if scaled or name != "tomography" else None}
+            for seed, (name, settings) in zip(seeds, RECORD_SETS.items())}
+    # The scan's background is twice the total, as in paper_run.
+    visibility = -float(np.real(np.trace(rho.matrix @ np.kron(PAULI_X, PAULI_X))))
+    curves = an.delay_scan(an.DelayScanModel(2.0 * total, visibility, FWHM), DELAYS)
+    scan_rng = np.random.default_rng(seeds[3])
+    sets["scan"] = [scan_rng.poisson(c).tolist() for c in curves]
+    return sets
+
+
+def records(stored, name):
+    """The ``CountRecord``s of stored record set ``name``."""
+    entry = stored[name]
+    scale = None if entry["scale"] is None else float(entry["scale"])
+    return [an.CountRecord(s, n, scale) for s, n in zip(RECORD_SETS[name](), entry["counts"])]
+
+
+def rounding_bound(recs, rho):
+    """``tomo_mle``'s stated bound on the rounding of its log-likelihood:
+    gamma_{K+4} sum_k (n_k (|log mu_k| + 1) + mu_k), mu_k = N_k <P_k>."""
+    counts = np.array([r.count for r in recs], dtype=float)
+    probs = np.array([np.real(np.trace(r.setting.joint_projector() @ rho.matrix))
+                      for r in recs])
+    mu = an._record_scales(recs) * probs
+    seen = counts > 0
+    m = (len(recs) + 4) * 2.0**-53
+    return float(m / (1 - m) * (counts[seen] @ (np.abs(np.log(mu[seen])) + 1) + mu.sum()))
+
+
+def analyse(i, stored):
+    """The results of analysis case ``i`` on its stored counts."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        tomo = records(stored, "tomography")
+        fit = an.tomo_mle(tomo)
+        s, s_sd = an.chsh_from_counts(records(stored, "chsh"))
+        f, f_sd = an.bell_fidelity_from_counts(records(stored, "stokes"))
+        sd = an.monte_carlo_sd(tomo, lambda r: an.concurrence(an.tomo_mle(r).rho_hat),
+                               n_resamples=RESAMPLES, seed=i)
+        dd, ddbar = stored["scan"]
+        scan = an.gaussian_fit(DELAYS, dd, ddbar)
+        values = {
+            "log_likelihood": fit.log_likelihood,
+            "ll_bound": rounding_bound(tomo, fit.rho_hat),
+            "gap": fit.gap, "iterations": fit.iterations, "converged": fit.converged,
+            "rho_hat": functionals(fit.rho_hat.matrix),
+            "concurrence": an.concurrence(fit.rho_hat),
+            "exact_concurrence": an.concurrence(exact_state(ANALYSIS_COMBINATIONS[i][0])),
+            "chsh": s, "chsh_sd": s_sd, "fidelity": f, "fidelity_sd": f_sd,
+            "concurrence_sd": sd,
+            "V": scan.visibility, "L": scan.coherence_fwhm, "B": scan.background,
+            "fit_converged": scan.converged,
+        }
+        return {k: v if isinstance(v, list) else repr(v) for k, v in values.items()}
+
+
+def _write(path, cases):
+    header = {"seed": SEED, "numpy": np.__version__, "python": sys.version.split()[0],
+              "cases": len(cases)}
     lines = ",\n".join(json.dumps(c, separators=(",", ":")) for c in cases)
-    PATH.write_text(f'{{"meta":{json.dumps(header)},\n"cases":[\n{lines}\n]}}\n')
-    print(f"wrote {len(cases)} cases, {PATH.stat().st_size} bytes, to {PATH}")
+    path.write_text(f'{{"meta":{json.dumps(header)},\n"cases":[\n{lines}\n]}}\n')
+    print(f"wrote {len(cases)} cases, {path.stat().st_size} bytes, to {path}")
+
+
+def main():
+    _write(PATH, [record(case(i)[0]) for i in range(NUM_CASES)])
+    cases = []
+    for i in range(len(ANALYSIS_COMBINATIONS)):
+        stored = draw_counts(i)
+        cases.append({**stored, "results": analyse(i, stored)})
+    _write(ANALYSIS_PATH, cases)
 
 
 if __name__ == "__main__":
