@@ -17,9 +17,9 @@ kinds of its arguments; the kernel's output is not re-checked (see
 :func:`rotate_basis`).  Work that does not depend on a spec's numbers is
 cached read-only and shared by fresh specs: each basis value is checked
 once, and the gather index of the damping and a non-H/V basis change are
-built once per register shape and basis value.  A spec evaluates
-``characteristic`` once, into a private table that every dephasing call
-gathers its damping from.
+built once per register shape and basis value.  What depends on a spec's
+numbers lives in its memo (see :class:`DephasingSpec`): ``characteristic``
+is evaluated once, into the table every dephasing call gathers from.
 """
 
 from __future__ import annotations
@@ -75,9 +75,12 @@ class DephasingSpec:
     """Parametrization of the channel phase noise.
 
     A spec is immutable: its fields cannot be rebound and ``basis`` is a
-    read-only copy of the array passed in, so ``dfs_protocol.distribute``
-    may keep the link map it derives from a spec while that spec lives.
-    Phases and spreads must be finite real scalars.
+    read-only copy of the array passed in.  So the stages may keep what
+    they derive from a spec in its private ``_memo`` for as long as the
+    spec lives, read-only: ``"table"``, the characteristic table that
+    ``_damping`` writes, and ``"choi"``, the link's Choi tensor that
+    ``dfs_protocol.distribute`` writes.  Phases and spreads must be finite
+    real scalars.
 
     Attributes
     ----------
@@ -103,8 +106,7 @@ class DephasingSpec:
     delta_sigma: float = 0.0
     distribution: str = "uniform"
     _computational: bool = field(init=False, repr=False)
-    # (k, characteristic on _pairs(k)): see _damping.
-    _table: tuple | None = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         b = _huge_as_inf(np.asarray, self.basis, complex)
@@ -123,7 +125,7 @@ class DephasingSpec:
             raise ValueError(f"unknown phase distribution {self.distribution!r}")
         object.__setattr__(self, "basis", _freeze(b.copy()))
         object.__setattr__(self, "_computational", computational)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_memo", {})
 
     def is_computational(self) -> bool:
         return self._computational
@@ -172,20 +174,21 @@ def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
 @functools.lru_cache
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The (m, m_jitter) pairs of a spec's characteristic table, flat and
-    read-only: m in [-k, k] and m_jitter in {-1, 0, 1}, pair (m, m_jitter)
-    at position (m + k) * 3 + (m_jitter + 1)."""
-    return (_freeze(np.repeat(np.arange(-k, k + 1), 3)),
+    read-only: m in 0..k, then -k..-1, and m_jitter in {-1, 0, 1}, so pair
+    (m, m_jitter) sits at position 3m + m_jitter + 1 for every k >= |m|,
+    a negative position counting from the end."""
+    return (_freeze(np.repeat(np.r_[0:k + 1, -k:0], 3)),
             _freeze(np.tile(np.arange(-1, 2), 2 * k + 1)))
 
 
 @functools.lru_cache(maxsize=32)
-def _damping_index(n: int, photons: tuple[int, ...], k: int) -> np.ndarray:
-    """Each entry's position in the pairs of :func:`_pairs` (k) (read-only):
-    its (m, m_jitter), the excitation differences ket minus bra of all
-    ``photons`` and of the first; k is at least len(photons)."""
+def _damping_index(n: int, photons: tuple[int, ...]) -> np.ndarray:
+    """Each entry's position in the pairs of :func:`_pairs` (read-only): its
+    (m, m_jitter), the excitation differences ket minus bra of all
+    ``photons`` and of the first."""
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.asarray(photons))) & 1
     ket = 3 * bits.sum(axis=1) + bits[:, 0]
-    return _freeze(ket[:, None] - ket + (3 * k + 1))
+    return _freeze(ket[:, None] - ket + 1)
 
 
 def _damping(spec: DephasingSpec, n: int, photons: tuple[int, ...]) -> np.ndarray:
@@ -193,13 +196,10 @@ def _damping(spec: DephasingSpec, n: int, photons: tuple[int, ...]) -> np.ndarra
     the spec's table.  The first call makes the table for k >= 2 channel
     photons, the link's pair, so the probe and the single-photon baseline
     share it; a call with more photons rebuilds it larger."""
-    table = spec._table
-    if table is None or table[0] < len(photons):
-        k = max(2, len(photons))
-        table = (k, _freeze(spec.characteristic(*_pairs(k))))
-        object.__setattr__(spec, "_table", table)
-    k, values = table
-    return values.take(_damping_index(n, photons, k))
+    table = spec._memo.get("table")
+    if table is None or table.size < 6 * len(photons) + 3:
+        table = spec._memo["table"] = _freeze(spec.characteristic(*_pairs(max(2, len(photons)))))
+    return table.take(_damping_index(n, photons))
 
 
 @functools.lru_cache(maxsize=32)

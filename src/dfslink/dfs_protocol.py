@@ -14,10 +14,10 @@ is one trace-decreasing map from one qubit to one qubit.  Encoding does not
 depend on the channel, so the encoded probe (|Phi+> of (reference, S) plus
 the ancilla) is a constant; :func:`distribute` dephases and sifts it, takes
 the link's Choi tensor as 2 x the sifted probe and applies it to the last
-qubit of the caller's register.  The tensor is kept, read-only, for as
-long as its (immutable) spec object lives, and :func:`qpg_sift`'s index per
-register shape and photon pair.  The stages are plain maps on states and
-remain the only statement of the physics.
+qubit of the caller's register.  The tensor is kept in the spec's memo
+(see ``DephasingSpec``), and :func:`qpg_sift`'s index per register shape
+and photon pair.  The stages are plain maps on states and remain the only
+statement of the physics.
 
 State bookkeeping: the protocol input orders qubits (spectators..., S); the
 ancilla is appended last, and after sifting the surviving logical qubit takes
@@ -27,7 +27,6 @@ S's position, so outputs are ordered (spectators..., Y).
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -116,10 +115,6 @@ def encode_append(rho: DensityOperator) -> DensityOperator:
 # The encoded probe on (reference, S, S'), the same for every channel.
 _PROBE = encode_append(_PHI_PLUS)
 
-# The link's Choi tensor of each live spec.  Specs hash by identity and are
-# immutable, so an entry is valid for exactly as long as its spec exists.
-_CHOI = weakref.WeakKeyDictionary()
-
 
 @functools.lru_cache
 def _sift_index(n: int, s_index: int, sprime_index: int) -> np.ndarray:
@@ -187,18 +182,18 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     """Full pipeline: encode, dephase, sift, decode.
 
     The constant encoded probe is dephased and sifted; the link's Choi
-    tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>,
-    kept per spec object.  J acts on the last qubit of the input register,
-    and the outcome is :func:`decode`'s on the link output, whose ``norm``
-    is the sift probability: the output lives on (spectators..., Y) and the
-    branch map covers {D, Dbar, sift_fail}.
+    tensor is 2 x the sifted probe, J[s, y, s', y'] = 2 <s y| sifted |s' y'>.
+    J acts on the last qubit of the input register, and the outcome is
+    :func:`decode`'s on the link output, whose ``norm`` is the sift
+    probability: the output lives on (spectators..., Y) and the branch map
+    covers {D, Dbar, sift_fail}.
     """
     _require_input(inp)
     spec = inp.channel_spec
-    choi = _CHOI.get(spec)
+    choi = spec._memo.get("choi")
     if choi is None:
         sifted = qpg_sift(rotate_basis(spec, _PROBE, (1, 2)), 1, 2)
-        choi = _CHOI[spec] = _freeze(2.0 * sifted.matrix.reshape(2, 2, 2, 2))
+        choi = spec._memo["choi"] = _freeze(2.0 * sifted.matrix.reshape(2, 2, 2, 2))
     r = inp.state.dim // 2
     rho = np.einsum("asbt,sytz->aybz", inp.state.matrix.reshape(r, 2, r, 2), choi)
     return decode(DensityOperator(rho.reshape(2 * r, 2 * r)), keep_dbar=inp.keep_dbar_branch)

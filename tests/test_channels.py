@@ -498,7 +498,7 @@ def test_gather_index_counts_photons_per_ket():
     # Against the bra |000>, entry (a, 0) reads the pair (how many of the
     # listed photons ket a has in state 1, the first photon's bit).
     m, m_jitter = _pairs(3)
-    index = _damping_index(3, (0, 2), 3)
+    index = _damping_index(3, (0, 2))
     assert not index.flags.writeable
     assert m[index[:, 0]].tolist() == [bin(i & 0b101).count("1") for i in range(8)]
     assert m_jitter[index[:, 0]].tolist() == [(i >> 2) & 1 for i in range(8)]
@@ -507,7 +507,7 @@ def test_gather_index_counts_photons_per_ket():
 def test_cached_tables_are_read_only():
     w, w_inv = _basis_change(CIRCULAR_BASIS.tobytes(), 3, (2, 0))
     m, m_jitter = _pairs(3)
-    index = _damping_index(3, (2, 0), 3)
+    index = _damping_index(3, (2, 0))
     for table in (w, w_inv, m, m_jitter, index, dfs_protocol._sift_index(3, 1, 2)):
         assert not table.flags.writeable
     assert np.array_equal(w_inv, w.conj().T)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, haar_unitary, random_density
-from dfslink import dfs_protocol
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
 from dfslink.dfs_protocol import (
     ProtocolInput,
@@ -342,7 +341,7 @@ def test_distribute_warm_cache_matches_cold(n, basis, delta_sigma, keep, rng):
                                 delta_sigma=delta_sigma, distribution="gaussian")
                   for _ in range(2))
     distribute(ProtocolInput(random_density(2**n, rng), warm, keep))
-    assert warm in dfs_protocol._CHOI and cold not in dfs_protocol._CHOI
+    assert "choi" in warm._memo and "choi" not in cold._memo
     state = random_density(2**n, rng, 1)
     hit = distribute(ProtocolInput(state, warm, keep))
     miss = distribute(ProtocolInput(state, cold, keep))
@@ -354,7 +353,7 @@ def test_distribute_warm_cache_matches_cold(n, basis, delta_sigma, keep, rng):
 def test_cached_choi_is_read_only():
     spec = DephasingSpec(mean_phase=0.2, per_photon_sigma=0.5, distribution="gaussian")
     distribute(ProtocolInput(prepare_phi_minus().density(), spec))
-    choi = dfs_protocol._CHOI[spec]
+    choi = spec._memo["choi"]
     assert choi.shape == (2, 2, 2, 2)
     with pytest.raises(ValueError, match="read-only"):
         choi[0, 0, 0, 0] = 0.0
@@ -364,7 +363,7 @@ def test_cache_entry_lives_as_long_as_its_spec():
     spec = DephasingSpec(delta_sigma=0.3)
     distribute(ProtocolInput(prepare_phi_minus().density(), spec))
     spec_ref = weakref.ref(spec)
-    choi_ref = weakref.ref(dfs_protocol._CHOI[spec])
+    choi_ref = weakref.ref(spec._memo["choi"])
     del spec
     gc.collect()
     assert spec_ref() is None
