@@ -152,6 +152,15 @@ class CountRecord:
             raise ValueError("scale must be finite and positive")
 
 
+def _list_of(kind, items, name: str) -> list:
+    """``items`` as a list, each of which must be a ``kind``."""
+    items = list(items)
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValueError(f"{name} must be {kind.__name__}s, got {type(item).__name__}")
+    return items
+
+
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
     rho_hat: DensityOperator
@@ -257,6 +266,7 @@ def chsh_from_counts(
     repeated angles included.  Records with a circular analyzer (L or R)
     are ignored.
     """
+    records = _list_of(CountRecord, records, "records")
     return _correlation_estimate(_count_table(records), _chsh_terms(settings))
 
 
@@ -287,6 +297,7 @@ def simulate_counts(
     _require_state(rho)
     if rho.dim != 4:
         raise ValueError("simulate_counts requires a two-qubit state")
+    settings = _list_of(MeasSetting, settings, "settings")
     try:
         totals_arr = np.broadcast_to(_huge_as_inf(np.asarray, totals, float), (len(settings),))
     except ValueError:
@@ -323,10 +334,8 @@ def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
     if not np.any(np.isnan(scales)):
         return scales
     # Fall back to the complete H/V basis subset for the overall rate.
-    hv = (_angle_key("H"), _angle_key("V"))
-    total = sum(float(r.count) for r in records
-                if _angle_key(r.setting.analyzer_a) in hv
-                and _angle_key(r.setting.analyzer_b) in hv)
+    table = _count_table(records)
+    total = sum(table.get((a, b), 0.0) for a in (0.0, 90.0) for b in (0.0, 90.0))
     if total <= 0:
         raise ValueError(
             "records carry no scale and no complete H/V subset to estimate it"
@@ -340,6 +349,7 @@ def tomo_linear(records: Sequence[CountRecord]) -> np.ndarray:
     Returns a read-only, complex, Hermitian, trace-one 4x4 array.  Positivity
     is not guaranteed, so it is not a ``DensityOperator``.
     """
+    records = _list_of(CountRecord, records, "records")
     _, pinv = _setting_model(tuple(r.setting for r in records))
     return _freeze(_linear_inversion(pinv @ np.array([float(r.count) for r in records])))
 
@@ -481,6 +491,7 @@ def tomo_mle(
     """
     if _integer_arg("max_iterations", max_iterations) < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    records = _list_of(CountRecord, records, "records")
     flat_projs, pinv = _setting_model(tuple(r.setting for r in records))
     counts = np.array([float(r.count) for r in records])
     scales = _record_scales(records)
@@ -581,6 +592,9 @@ def monte_carlo_sd(
     """
     if _integer_arg("n_resamples", n_resamples) < 2:
         raise ValueError("need at least two resamples")
+    records = _list_of(CountRecord, records, "records")
+    if not callable(statistic):
+        raise ValueError(f"statistic must be callable, got {type(statistic).__name__}")
     lams = np.array([float(r.count) for r in records])
     values = []
     failures = 0
@@ -606,6 +620,7 @@ def bell_fidelity_from_counts(records: Sequence[CountRecord]) -> tuple[float, fl
     from its complete 4-outcome basis; the error bar propagates Poisson
     variances.  Repeated records of one setting are summed.
     """
+    records = _list_of(CountRecord, records, "records")
     terms = [(0.25 * sign, [(x, y) for x in basis for y in basis])
              for sign, basis in zip((1.0, -1.0, 1.0), _STOKES_BASES)]
     return _correlation_estimate(_count_table(records), terms, offset=0.25)
@@ -641,7 +656,11 @@ def delay_scan(model: DelayScanModel, delays) -> tuple[np.ndarray, np.ndarray]:
     crossed port, P(D, Dbar) + P(Dbar, D) at zero delay for B = 1, and the
     second the parallel port, P(D, D) + P(Dbar, Dbar).
     """
-    d = np.asarray(delays, dtype=float)
+    if not isinstance(model, DelayScanModel):
+        raise ValueError(f"model must be a DelayScanModel, got {type(model).__name__}")
+    d = _huge_as_inf(np.asarray, delays, float)
+    if not np.isfinite(d).all():
+        raise ValueError("delays must be finite")
     vg = model.visibility * np.exp(-4.0 * math.log(2.0) * (d / model.coherence_fwhm) ** 2)
     return model.background * (1.0 + vg) / 2.0, model.background * (1.0 - vg) / 2.0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfslink.analysis import _record_scales
 from dfslink.qmath import DensityOperator, StateVector
 
 
@@ -22,6 +23,19 @@ def random_density(dim, rng, rank=None):
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m))
+
+
+def rounding_bound(records, rho):
+    """``tomo_mle``'s stated bound on the rounding of a reported
+    log-likelihood: gamma_{K+4} sum_k (n_k (|log mu_k| + 1) + mu_k), with
+    mu_k = N_k <P_k> and N_k the scales the fit used."""
+    counts = np.array([r.count for r in records], dtype=float)
+    probs = np.array([np.real(np.trace(r.setting.joint_projector() @ rho.matrix))
+                      for r in records])
+    mu = _record_scales(records) * probs
+    seen = counts > 0
+    m = (len(records) + 4) * 2.0**-53
+    return float(m / (1 - m) * (counts[seen] @ (np.abs(np.log(mu[seen])) + 1) + mu.sum()))
 
 
 @pytest.fixture

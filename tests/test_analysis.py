@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import haar_state, haar_unitary, random_density
+from conftest import haar_state, haar_unitary, random_density, rounding_bound
 from dfslink.analysis import (
     DEFAULT_CHSH_ANGLES,
     CountRecord,
@@ -168,6 +168,19 @@ def test_chsh_error_bar_at_repeated_angles_matches_poisson_oracle():
     e = (c[:, 0] + c[:, 3] - c[:, 1] - c[:, 2]) / c.sum(axis=1)
     mc = float(np.std(2.0 * e, ddof=1))
     assert abs(sd - mc) < 4.0 * mc / math.sqrt(2.0 * (n - 1))
+
+
+def test_scale_fallback_reads_named_and_angle_analyzers():
+    # Without scales, the rate is the total of the H/V records, whether an
+    # analyzer is named or given by its angle; the fit is then the one with
+    # that total as every record's scale.
+    settings = [MeasSetting(a, b) for a in ("H", 90.0, "D", "R") for b in (0.0, "V", "D", "R")]
+    counted = simulate_counts(werner(0.8), settings, 1000, seed=6)
+    total = float(sum(r.count for r in counted[:2] + counted[4:6]))
+    bare = tomo_mle([CountRecord(r.setting, r.count) for r in counted])
+    scaled = tomo_mle([CountRecord(r.setting, r.count, total) for r in counted])
+    assert bare.rho_hat.matrix.tobytes() == scaled.rho_hat.matrix.tobytes()
+    assert bare.log_likelihood == scaled.log_likelihood and bare.gap == scaled.gap
 
 
 def test_angle_valued_records_match_named():
@@ -626,17 +639,6 @@ def test_tomo_mle_gap_certifies_the_optimum(rng, case):
             assert loglik((1 - weight) * rho_hat + weight * sigma) <= bound
 
 
-def _rounding_bound(records, rho):
-    """tomo_mle's stated bound on the rounding of a reported log-likelihood:
-    gamma_{K+4} sum_k (n_k (|log mu_k| + 1) + mu_k), mu_k = N_k <P_k>."""
-    counts = np.array([r.count for r in records], dtype=float)
-    mu = np.array([r.scale * np.real(np.trace(r.setting.joint_projector() @ rho.matrix))
-                   for r in records])
-    seen = counts > 0
-    m = (len(records) + 4) * 2.0**-53
-    return m / (1 - m) * (counts[seen] @ (np.abs(np.log(mu[seen])) + 1) + mu.sum())
-
-
 def test_tomo_mle_certificate_holds_within_its_rounding_bound():
     # The same records fitted in two orders give two certified estimates.  In
     # exact arithmetic neither log-likelihood exceeds the other's plus its
@@ -650,7 +652,7 @@ def test_tomo_mle_certificate_holds_within_its_rounding_bound():
                                   seed=seed)
         fits = tomo_mle(records), tomo_mle(records[::-1])
         assert all(f.converged for f in fits)
-        slack = sum(_rounding_bound(records, f.rho_hat) for f in fits)
+        slack = sum(rounding_bound(records, f.rho_hat) for f in fits)
         for a, b in (fits, fits[::-1]):
             excess = b.log_likelihood - (a.log_likelihood + a.gap)
             broken += excess > 0
@@ -999,6 +1001,10 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                    for b in (30.0, 75.0, 120.0, "R")]
 
 
+# Tomography records with an int in place of the last record.
+_INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 0.0, 1),
                  "totals must be finite and positive", id="zero-total"),
@@ -1098,6 +1104,28 @@ _NO_HV_SETTINGS = [MeasSetting(a, b) for a in (30.0, 75.0, 120.0, "R")
                  "non-negative", id="fit-negative-count"),
     pytest.param(lambda: gaussian_fit(np.arange(6.0), [0.0] * 6, [0.0] * 6),
                  "not all zero", id="fit-zero-counts"),
+    pytest.param(lambda: delay_scan(DelayScanModel(1.0, 0.5, 10.0), [0.0, math.nan]),
+                 "delays must be finite", id="scan-nan-delay"),
+    pytest.param(lambda: delay_scan(DelayScanModel(1.0, 0.5, 10.0), [-math.inf]),
+                 "delays must be finite", id="scan-inf-delay"),
+    pytest.param(lambda: delay_scan(DelayScanModel(1.0, 0.5, 10.0), [10**400]),
+                 "delays must be finite", id="scan-huge-int-delay"),
+    pytest.param(lambda: delay_scan(None, [0.0]),
+                 "model must be a DelayScanModel, got NoneType", id="scan-no-model"),
+    pytest.param(lambda: tomo_linear(_INT_RECORD), "records must be CountRecords, got int",
+                 id="tomo-linear-int-record"),
+    pytest.param(lambda: tomo_mle(_INT_RECORD), "records must be CountRecords, got int",
+                 id="tomo-mle-int-record"),
+    pytest.param(lambda: chsh_from_counts([5] * 16), "records must be CountRecords, got int",
+                 id="chsh-int-record"),
+    pytest.param(lambda: bell_fidelity_from_counts([5] * 12),
+                 "records must be CountRecords, got int", id="fidelity-int-record"),
+    pytest.param(lambda: monte_carlo_sd(_INT_RECORD, len),
+                 "records must be CountRecords, got int", id="bootstrap-int-record"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), 5),
+                 "statistic must be callable, got int", id="bootstrap-int-statistic"),
+    pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H"), 5], 100.0, 1),
+                 "settings must be MeasSettings, got int", id="counts-int-setting"),
 ])
 def test_analysis_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):

@@ -35,6 +35,7 @@ import sys
 
 import numpy as np
 
+from conftest import rounding_bound
 from dfslink import analysis as an
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec
 from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute, prepare_phi_minus
@@ -166,18 +167,6 @@ def records(stored, name):
     entry = stored[name]
     scale = None if entry["scale"] is None else float(entry["scale"])
     return [an.CountRecord(s, n, scale) for s, n in zip(RECORD_SETS[name](), entry["counts"])]
-
-
-def rounding_bound(recs, rho):
-    """``tomo_mle``'s stated bound on the rounding of its log-likelihood:
-    gamma_{K+4} sum_k (n_k (|log mu_k| + 1) + mu_k), mu_k = N_k <P_k>."""
-    counts = np.array([r.count for r in recs], dtype=float)
-    probs = np.array([np.real(np.trace(r.setting.joint_projector() @ rho.matrix))
-                      for r in recs])
-    mu = an._record_scales(recs) * probs
-    seen = counts > 0
-    m = (len(recs) + 4) * 2.0**-53
-    return float(m / (1 - m) * (counts[seen] @ (np.abs(np.log(mu[seen])) + 1) + mu.sum()))
 
 
 def analyse(i, stored):
