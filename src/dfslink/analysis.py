@@ -38,7 +38,6 @@ from .qmath import (
     DensityOperator,
     StateVector,
     eig_hermitian,
-    kron,
     projector,
 )
 
@@ -121,7 +120,7 @@ class MeasSetting:
             else:
                 object.__setattr__(self, name, _canonical_angle(a))
         object.__setattr__(self, "_projector", _freeze(
-            kron(projector(_analyzer_ket(self.analyzer_a)),
+            np.kron(projector(_analyzer_ket(self.analyzer_a)),
                  projector(_analyzer_ket(self.analyzer_b)))))
 
     def joint_projector(self) -> np.ndarray:
@@ -199,7 +198,7 @@ def chsh_value(rho: DensityOperator,
         raise ValueError("chsh_value requires a two-qubit DensityOperator")
 
     def corr(ta, tb):
-        obs = kron(_pauli_observable(ta), _pauli_observable(tb))
+        obs = np.kron(_pauli_observable(ta), _pauli_observable(tb))
         return float(np.real(np.trace(rho.matrix @ obs)))
 
     return sum(sign * corr(*pairs[0]) for sign, pairs in _chsh_terms(settings))
@@ -383,7 +382,7 @@ _PAIRS = np.einsum("aji,bjk->abki", _UNITS.conj(), _UNITS).reshape(256, 16).T
 
 _GAP_TOLERANCE = 1e-6
 _IDENTITY_16 = _freeze(np.eye(16))
-_YY = _freeze(kron(PAULI_Y, PAULI_Y))  # the spin flip of concurrence
+_YY = _freeze(np.kron(PAULI_Y, PAULI_Y))  # the spin flip of concurrence
 
 
 def _quadratic_forms(projs: np.ndarray) -> np.ndarray:
@@ -502,7 +501,7 @@ def tomo_mle(
     t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
     t = t / math.sqrt(t @ t)
     # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.
-    forms = _quadratic_forms(flat_projs @ kron(basis.conj(), basis))
+    forms = _quadratic_forms(flat_projs @ np.kron(basis.conj(), basis))
     qt = forms @ t
     ll = _log_likelihood(qt @ t, counts, scales)
 

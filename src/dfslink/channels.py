@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmath import (ATOL_STRICT, DensityOperator, _freeze, _huge_as_inf, _qubit_indices,
-                    _require_state, kron)
+                    _require_state)
 
 __all__ = [
     "DephasingSpec",
@@ -209,7 +209,7 @@ def _basis_change(basis: bytes, n: int, photons: tuple[int, ...]) -> tuple[np.nd
     binv = np.frombuffer(basis, dtype=complex).reshape(2, 2).conj().T
     w = np.array([[1.0]], dtype=complex)
     for q in range(n):
-        w = kron(w, binv if q in photons else _IDENTITY_2)
+        w = np.kron(w, binv if q in photons else _IDENTITY_2)
     return _freeze(w), _freeze(w.conj().T)
 
 

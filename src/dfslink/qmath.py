@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "StateVector",
     "DensityOperator",
-    "kron",
     "tensor",
     "partial_trace",
     "fidelity_with_pure",
@@ -96,19 +95,6 @@ def _qubit_indices(indices) -> list[int]:
         return [operator.index(i) for i in indices]
     except TypeError:
         raise ValueError(f"qubit indices must be integers, got {indices!r}") from None
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 1-D or two 2-D arrays, a's indices most
-    significant.
-
-    One broadcast multiply, the same one NumPy's ``kron`` runs after its
-    general-rank set-up, so every entry is the identical product.
-    """
-    if a.ndim == 1:
-        return (a[:, None] * b[None, :]).reshape(-1)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +213,9 @@ def tensor(a: StateVector | DensityOperator,
     matrices is positive, and its trace tr a * tr b is at most 1.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(kron(a.amplitudes, b.amplitudes))
+        return StateVector(np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator._trusted(kron(a.matrix, b.matrix))
+        return DensityOperator._trusted(np.kron(a.matrix, b.matrix))
     raise TypeError(
         f"tensor requires two objects of the same kind, got "
         f"{type(a).__name__} and {type(b).__name__}"

@@ -1,11 +1,11 @@
 """Property tests of the link's physical invariants over random channel specs.
 
 The link's Choi matrix is read off the public pipeline: distributing |Phi+>
-of (reference, S) with the Dbar branch kept returns J / (2 p_success).  The
-Kronecker helper is checked against NumPy's ``kron``.  ``rotate_basis`` and
-``qpg_sift`` read cached index tables and basis changes, and ``rotate_basis``
-gathers its damping from a per-spec table of characteristic values; they are
-checked bit for bit against references that rebuild everything per call.
+of (reference, S) with the Dbar branch kept returns J / (2 p_success).
+``rotate_basis`` and ``qpg_sift`` read cached index tables and basis changes,
+and ``rotate_basis`` gathers its damping from a per-spec table of
+characteristic values; they are checked bit for bit against references that
+rebuild everything per call.
 The states that the stage maps return unchecked are put through the checks
 they skip.
 """
@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import random_density
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, _basis_change, _damping, rotate_basis
 from dfslink import dfs_protocol
 from dfslink.dfs_protocol import ProtocolInput, baseline_direct, distribute, qpg_sift
-from dfslink.qmath import DensityOperator, StateVector, kron, partial_trace, tensor
+from dfslink.qmath import DensityOperator, StateVector, partial_trace, tensor
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 PHI_PLUS = StateVector([1.0, 0.0, 0.0, 1.0]).normalize().density()
@@ -81,21 +80,6 @@ def test_collective_noise_output_is_state_independent(spec, n, seed, keep):
     assert abs(out.success_probability - (0.5 if keep else 0.25)) < 1e-12
 
 
-entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
-
-
-@PROPERTY
-@given(st.data(), st.integers(1, 2))
-def test_kron_matches_numpy(data, ndim):
-    shapes = array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=4)
-    a = data.draw(arrays(complex, shapes, elements=entries))
-    b = data.draw(arrays(complex, shapes, elements=entries))
-    out = kron(a, b)
-    expected = np.kron(a, b)
-    assert out.shape == expected.shape
-    assert np.array_equal(out, expected)
-
-
 def reference_differences(n, photons):
     """The excitation differences ket minus bra, built in place from
     occupation counts: of all ``photons``, and of the first one."""
@@ -107,14 +91,14 @@ def reference_differences(n, photons):
 
 def reference_rotate_basis(spec, rho, photons):
     """The dephasing kernel with every table built in place: difference
-    grids and the qmath.kron chain of the basis change."""
+    grids and the Kronecker chain of the basis change."""
     n = rho.num_qubits
     damping = spec.characteristic(*reference_differences(n, photons))
     if spec.is_computational():
         return rho.matrix * damping
     w = np.array([[1.0]], dtype=complex)
     for q in range(n):
-        w = kron(w, spec.basis.conj().T if q in photons else np.eye(2, dtype=complex))
+        w = np.kron(w, spec.basis.conj().T if q in photons else np.eye(2, dtype=complex))
     return w.conj().T @ ((w @ rho.matrix @ w.conj().T) * damping) @ w
 
 
