@@ -342,26 +342,28 @@ def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
     return np.where(np.isnan(scales), total, scales)
 
 
+def _read_records(records: Sequence[CountRecord]):
+    """The records' flat projectors, counts n and scales N, and the
+    Hermitian part of the linear inversion pinv @ (n / N) as a 4x4 matrix."""
+    records = _list_of(CountRecord, records, "records")
+    flat_projs, pinv = _setting_model(tuple(r.setting for r in records))
+    counts = np.array([float(r.count) for r in records])
+    scales = _record_scales(records)
+    chi = (pinv @ (counts / scales)).reshape(4, 4)
+    return flat_projs, counts, scales, 0.5 * (chi + chi.conj().T)
+
+
 def tomo_linear(records: Sequence[CountRecord]) -> np.ndarray:
     """Linear inversion of measured frequencies.
 
     Returns a read-only, complex, Hermitian, trace-one 4x4 array.  Positivity
     is not guaranteed, so it is not a ``DensityOperator``.
     """
-    records = _list_of(CountRecord, records, "records")
-    _, pinv = _setting_model(tuple(r.setting for r in records))
-    return _freeze(_linear_inversion(pinv @ np.array([float(r.count) for r in records])))
-
-
-def _linear_inversion(vec_chi: np.ndarray) -> np.ndarray:
-    """The least-squares solution vec(chi) = pinv @ counts as a Hermitian,
-    trace-one 4x4 matrix."""
-    chi = vec_chi.reshape(4, 4)
-    chi = 0.5 * (chi + chi.conj().T)
+    chi = _read_records(records)[-1]
     tr = float(np.real(np.trace(chi)))
     if abs(tr) < 1e-12:
         raise ValueError("degenerate counts: zero-trace linear estimate")
-    return chi / tr
+    return _freeze(chi / tr)
 
 
 # Parameters: diag(T), then (Re, Im) of each entry below it in row-major order.
@@ -482,22 +484,19 @@ def tomo_mle(
     log-likelihood exceeds this one's plus ``gap`` by more than the two
     fits' bounds; it can exceed it by an ulp or two.
 
-    U holds the eigenvectors of the linear estimate, eigenvalues ascending,
-    and T starts diagonal: the start is the linear estimate with eigenvalues
-    floored at 1e-6 and the trace restored, so every p_k starts positive.
-    The fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
+    U holds the eigenvectors, eigenvalues ascending, of the linear inversion
+    of n / N before its trace division, and T starts diagonal at the roots
+    of those eigenvalues floored at 1e-6, so every p_k starts positive.  The
+    fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
     """
     if _integer_arg("max_iterations", max_iterations) < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    records = _list_of(CountRecord, records, "records")
-    flat_projs, pinv = _setting_model(tuple(r.setting for r in records))
-    counts = np.array([float(r.count) for r in records])
-    scales = _record_scales(records)
+    flat_projs, counts, scales, chi = _read_records(records)
 
-    # In the eigenbasis of rho_lin, T's zero diagonal entries stay put near a
+    # In the eigenbasis of chi, T's zero diagonal entries stay put near a
     # rank-deficient optimum; with U = I they drift and Newton turns linear.
-    vals, basis = np.linalg.eigh(_linear_inversion(pinv @ counts))
+    vals, basis = np.linalg.eigh(chi)
     t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
     t = t / math.sqrt(t @ t)
     # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.

@@ -534,12 +534,19 @@ def test_tomo_mle_monotone_likelihood(rng):
     assert hist[-1] >= hist[0] - 1e-9
 
 
+def _hv_frequency_total(records):
+    return sum(r.count / r.scale for r in records
+               if {r.setting.analyzer_a, r.setting.analyzer_b} <= {"H", "V"})
+
+
 def test_tomo_mle_default_start_is_projected_linear_estimate(rng):
-    # Oracle: the linear estimate with its eigenvalues floored at 1e-6 and
-    # the trace restored, and its Poisson log-likelihood setting by setting.
+    # Oracle: the inversion of n / N is tomo_linear times its trace, the sum
+    # of the H/V frequencies; its eigenvalues floored at 1e-6, over their
+    # sum, and its Poisson log-likelihood setting by setting.
     rho = random_density(4, rng, rank=2)
     records = simulate_counts(rho, tomography_settings(), 1000, seed=21)
     vals, vecs = np.linalg.eigh(tomo_linear(records))
+    vals = _hv_frequency_total(records) * vals
     rho_lin = (vecs * np.maximum(vals, 1e-6)) @ vecs.conj().T
     rho_lin /= np.trace(rho_lin).real
     start = tomo_mle(records, max_iterations=0)
@@ -555,30 +562,24 @@ def test_tomo_mle_default_start_is_projected_linear_estimate(rng):
 
 
 def test_tomo_mle_start_gives_every_setting_positive_probability():
-    # Oracle: the start is rho_lin's eigenvalues floored at 1e-6 over their
-    # sum s, so every unit-trace projector gets p_k >= 1e-6 / s (Weyl), even
-    # where the records have zero-count settings or a few counts in all.
-    # rho_lin's trace is the H/V coincidence total; with none, there is no
-    # start to check and the linear estimate is rejected.
+    # Oracle: the start is the eigenvalues of the inversion of n / N (by
+    # lstsq) floored at 1e-6 over their sum s, so every unit-trace projector
+    # gets p_k >= 1e-6 / s (Weyl), even where the records have zero-count
+    # settings, a few counts in all or no H/V count.
     cases = [exact_records(PHI.density()), exact_records(DEPHASED)]
     cases += [simulate_counts(rho, tomography_settings(), total, seed=seed)
               for rho in (PHI.density(), DEPHASED) for total in range(1, 11)
               for seed in range(5)]
-    started = 0
+    design = np.array([s.joint_projector().T.reshape(16) for s in tomography_settings()])
     for records in cases:
-        if not sum(r.count for r in records
-                   if {r.setting.analyzer_a, r.setting.analyzer_b} <= {"H", "V"}):
-            with pytest.raises(ValueError, match="zero-trace linear estimate"):
-                tomo_mle(records, max_iterations=0)
-            continue
-        started += 1
         start = tomo_mle(records, max_iterations=0)
         assert math.isfinite(start.log_likelihood)
-        floor = 1e-6 / np.maximum(np.linalg.eigvalsh(tomo_linear(records)), 1e-6).sum()
+        freqs = np.array([r.count / r.scale for r in records], dtype=complex)
+        chi = np.linalg.lstsq(design, freqs, rcond=None)[0].reshape(4, 4)
+        floor = 1e-6 / np.maximum(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T)), 1e-6).sum()
         probs = [np.real(np.trace(start.rho_hat.matrix @ r.setting.joint_projector()))
                  for r in records]
         assert min(probs) > 0 and min(probs) >= floor * (1 - 1e-9)
-    assert started >= 80
 
 
 def _hv_jitter_output(delta_sigma):
