@@ -130,12 +130,9 @@ class MeasSetting:
 
 @dataclass(frozen=True, eq=False)
 class CountRecord:
-    """A coincidence count at one setting.
-
-    ``scale`` carries the Poisson normalization (expected total used when the
-    counts were generated); tomography fitters fall back to estimating it
-    from a complete basis subset when absent.
-    """
+    """A coincidence count n at one setting.  ``scale`` is its exposure N,
+    the expected total it was drawn with; tomography inverts n / N, taking N
+    from the complete H/V subset when ``scale`` is absent."""
 
     setting: MeasSetting
     count: float
@@ -329,10 +326,11 @@ def _setting_model(settings: tuple):
 
 
 def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
+    """Each record's N, the one normalisation of tomography: both estimators
+    invert n / N.  Without a ``scale``, N is the H/V subset's count total."""
     scales = np.array([r.scale if r.scale is not None else np.nan for r in records])
     if not np.any(np.isnan(scales)):
         return scales
-    # Fall back to the complete H/V basis subset for the overall rate.
     table = _count_table(records)
     total = sum(table.get((a, b), 0.0) for a in (0.0, 90.0) for b in (0.0, 90.0))
     if total <= 0:
@@ -354,7 +352,7 @@ def _read_records(records: Sequence[CountRecord]):
 
 
 def tomo_linear(records: Sequence[CountRecord]) -> np.ndarray:
-    """Linear inversion of measured frequencies.
+    """Linear inversion of the frequencies n / N, divided by its trace.
 
     Returns a read-only, complex, Hermitian, trace-one 4x4 array.  Positivity
     is not guaranteed, so it is not a ``DensityOperator``.
@@ -675,15 +673,16 @@ class GaussianFitResult:
 def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
     """Weighted least-squares fit of the delay-scan model by variable projection.
 
-    Poisson weights 1/sqrt(max(c, 1)) on both curves; V in [0, 1.5], B > 0.
-    Per width L, the model is linear in a = B/2 and b = BV/2 and the normal
-    equations give them (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-    1973); outside the bounds, V is 0 or 1.5, whichever is cheaper.  log L
-    is searched on [span/50, 10 span] (span: the delay range), 17 widths a
-    round, zooming to the best one's neighbours until the bracket is below
-    1e-9 relative.  ``converged`` is False at an end of that range, as when
-    V = 0 leaves the width undetermined.  ``residuals`` are weighted,
-    ``counts_dd``'s first.
+    ``counts_dd`` takes ``delay_scan``'s first curve, the crossed D-Dbar
+    port under V = -<XX>, and ``counts_ddbar`` its second.  Poisson weights
+    1/sqrt(max(c, 1)) on both curves; V in [0, 1.5], B > 0.  Per width L,
+    the model is linear in a = B/2 and b = BV/2 and the normal equations
+    give them (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973); outside
+    the bounds, V is 0 or 1.5, whichever is cheaper.  log L is searched on
+    [span/50, 10 span] (span: the delay range), 17 widths a round, zooming
+    to the best one's neighbours until the bracket is below 1e-9 relative.
+    ``converged`` is False at an end of that range, as when V = 0 leaves the
+    width undetermined.  ``residuals`` are weighted, ``counts_dd``'s first.
     """
     d, dd, ddbar = (_huge_as_inf(np.asarray, c, float) for c in (delays, counts_dd, counts_ddbar))
     if d.ndim != 1 or d.size < 5 or dd.shape != d.shape or ddbar.shape != d.shape:

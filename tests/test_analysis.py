@@ -582,6 +582,37 @@ def test_tomo_mle_start_gives_every_setting_positive_probability():
         assert min(probs) > 0 and min(probs) >= floor * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("total, seeds", [(1, (1, 2, 3, 6)), (2, (3, 11, 12)),
+                                           (3, (3, 11, 29))])
+def test_tomo_mle_certifies_low_counts_without_hv_counts(total, seeds):
+    # Regression: record sets with no H/V count, each record scaled.  A start
+    # normalised by the H/V count total refused them as degenerate, though
+    # their Poisson likelihood is well defined.
+    for seed in seeds:
+        records = simulate_counts(PHI.density(), tomography_settings(), total, seed=seed)
+        assert _hv_frequency_total(records) == 0
+        fit = tomo_mle(records)
+        assert fit.converged and fit.gap <= 1e-6
+
+
+def test_tomo_mle_certifies_scaled_zero_counts():
+    # Oracle: with n = 0 the log-likelihood is -N tr(rho sum_k P_k), whose
+    # maximum is -N times the least eigenvalue of sum_k P_k.
+    records = [CountRecord(s, 0, scale=100.0) for s in tomography_settings()]
+    fit = tomo_mle(records)
+    best = -100.0 * np.linalg.eigvalsh(sum(s.joint_projector() for s in tomography_settings()))[0]
+    assert fit.converged
+    assert best - fit.gap - 1e-9 <= fit.log_likelihood <= best + 1e-9
+
+
+def test_tomo_linear_divides_each_count_by_its_scale():
+    # Regression: inverting the raw counts of unequal exposures missed Phi-
+    # by 0.67; the frequencies n / N miss it by as little as equal totals do.
+    records = simulate_counts(PHI.density(), tomography_settings(),
+                              np.linspace(1e6, 4e6, 16), seed=3)
+    assert np.abs(tomo_linear(records) - PHI.density().matrix).max() < 0.01
+
+
 def _hv_jitter_output(delta_sigma):
     # Phi- through gaussian H/V collective noise with inter-photon jitter: a
     # rank-2 state.
@@ -1030,6 +1061,8 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
                  "one per setting", id="totals-wrong-length"),
     pytest.param(lambda: tomo_mle([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
                  "no complete H/V subset", id="no-scale-no-hv"),
+    pytest.param(lambda: tomo_linear([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
+                 "no complete H/V subset", id="linear-no-scale-no-hv"),
     pytest.param(lambda: concurrence(DensityOperator(np.eye(2) / 2)), "two-qubit",
                  id="concurrence-one-qubit"),
     pytest.param(lambda: concurrence(tomo_linear(exact_records(PHI.density()))), "two-qubit",
