@@ -121,7 +121,7 @@ class MeasSetting:
                 object.__setattr__(self, name, _canonical_angle(a))
         object.__setattr__(self, "_projector", _freeze(
             np.kron(projector(_analyzer_ket(self.analyzer_a)),
-                 projector(_analyzer_ket(self.analyzer_b)))))
+                    projector(_analyzer_ket(self.analyzer_b)))))
 
     def joint_projector(self) -> np.ndarray:
         """The read-only 4x4 projector onto this setting's joint outcome."""

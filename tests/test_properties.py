@@ -5,9 +5,8 @@ of (reference, S) with the Dbar branch kept returns J / (2 p_success).
 ``rotate_basis`` and ``qpg_sift`` read cached index tables and basis changes,
 and ``rotate_basis`` gathers its damping from a per-spec table of
 characteristic values; they are checked bit for bit against references that
-rebuild everything per call.
-The states that the stage maps return unchecked are put through the checks
-they skip.
+rebuild everything per call.  The states that the stage maps return
+unchecked are put through the checks they skip.
 """
 
 import itertools
