@@ -23,9 +23,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .qmath import (
+    _finite,
     _freeze,
-    _huge_as_inf,
-    _require_state,
+    _isfinite,
+    _require,
     KET_D,
     KET_DBAR,
     KET_H,
@@ -115,7 +116,7 @@ class MeasSetting:
             if isinstance(a, str):
                 if a not in _NAMED_ANALYZERS:
                     raise ValueError(f"unknown analyzer label {a!r}")
-            elif not _huge_as_inf(math.isfinite, a):
+            elif not _isfinite(a):
                 raise ValueError(f"analyzer angle must be finite, got {a!r}")
             else:
                 object.__setattr__(self, name, _canonical_angle(a))
@@ -139,12 +140,10 @@ class CountRecord:
     scale: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.setting, MeasSetting):
-            raise ValueError(f"setting must be a MeasSetting, got {self.setting!r}")
-        if not (_huge_as_inf(math.isfinite, self.count) and self.count >= 0):
+        _require(self.setting, MeasSetting, "setting")
+        if not (_isfinite(self.count) and self.count >= 0):
             raise ValueError("counts must be finite and non-negative")
-        if self.scale is not None and not (_huge_as_inf(math.isfinite, self.scale)
-                                           and self.scale > 0):
+        if self.scale is not None and not (_isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be finite and positive")
 
 
@@ -176,7 +175,7 @@ def _chsh_terms(settings: Sequence[float]) -> list:
     """(sign, analyzer pairs) of each term of S = E(a,b) - E(a,b') + E(a',b)
     + E(a',b') for the angles (a, a', b, b'); a term's pairs are
     {a, a+90} x {b, b+90} in the order ++, +-, -+, --."""
-    if len(settings) != 4 or not all(_huge_as_inf(math.isfinite, a) for a in settings):
+    if len(settings) != 4 or not all(_isfinite(a) for a in settings):
         raise ValueError(f"CHSH settings must be four finite angles, got {settings!r}")
     a, ap, b, bp = settings
     return [(sign, [(ta + da, tb + db) for da in (0.0, 90.0) for db in (0.0, 90.0)])
@@ -290,15 +289,16 @@ def simulate_counts(
     ``totals`` is the per-setting expected total (scalar broadcast).
     Deterministic for a fixed seed.
     """
-    _require_state(rho)
+    _require(rho, DensityOperator, "state")
     if rho.dim != 4:
         raise ValueError("simulate_counts requires a two-qubit state")
     settings = _list_of(MeasSetting, settings, "settings")
     try:
-        totals_arr = np.broadcast_to(_huge_as_inf(np.asarray, totals, float), (len(settings),))
+        totals_arr = np.broadcast_to(totals, (len(settings),))
     except ValueError:
         raise ValueError("totals must be a scalar or one per setting") from None
-    if not (np.isfinite(totals_arr).all() and (totals_arr > 0).all()):
+    totals_arr = _finite(totals_arr, float, "totals must be finite and positive")
+    if not (totals_arr > 0).all():
         raise ValueError("totals must be finite and positive")
     probs = np.real(np.einsum("ij,kji->k", rho.matrix, _projector_stack(settings)))
     probs = np.clip(probs, 0.0, 1.0)
@@ -636,7 +636,7 @@ class DelayScanModel:
 
     def __post_init__(self):
         for name in ("background", "visibility", "coherence_fwhm"):
-            if not _huge_as_inf(math.isfinite, getattr(self, name)):
+            if not _isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.coherence_fwhm <= 0:
             raise ValueError("coherence FWHM must be positive")
@@ -652,11 +652,8 @@ def delay_scan(model: DelayScanModel, delays) -> tuple[np.ndarray, np.ndarray]:
     crossed port, P(D, Dbar) + P(Dbar, D) at zero delay for B = 1, and the
     second the parallel port, P(D, D) + P(Dbar, Dbar).
     """
-    if not isinstance(model, DelayScanModel):
-        raise ValueError(f"model must be a DelayScanModel, got {type(model).__name__}")
-    d = _huge_as_inf(np.asarray, delays, float)
-    if not np.isfinite(d).all():
-        raise ValueError("delays must be finite")
+    _require(model, DelayScanModel, "model")
+    d = _finite(delays, float, "delays must be finite")
     vg = model.visibility * np.exp(-4.0 * math.log(2.0) * (d / model.coherence_fwhm) ** 2)
     return model.background * (1.0 + vg) / 2.0, model.background * (1.0 - vg) / 2.0
 
@@ -684,12 +681,11 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
     ``converged`` is False at an end of that range, as when V = 0 leaves the
     width undetermined.  ``residuals`` are weighted, ``counts_dd``'s first.
     """
-    d, dd, ddbar = (_huge_as_inf(np.asarray, c, float) for c in (delays, counts_dd, counts_ddbar))
+    d, dd, ddbar = (_finite(c, float, "delays and counts must be finite")
+                    for c in (delays, counts_dd, counts_ddbar))
     if d.ndim != 1 or d.size < 5 or dd.shape != d.shape or ddbar.shape != d.shape:
         raise ValueError("need at least five 1-D delays and counts of equal length")
     y = np.concatenate([dd, ddbar])
-    if not (np.isfinite(d).all() and np.isfinite(y).all()):
-        raise ValueError("delays and counts must be finite")
     if (y < 0).any() or not y.any():
         raise ValueError("counts must be non-negative and not all zero")
     span = float(d.max() - d.min())
@@ -731,7 +727,6 @@ def gaussian_fit(delays, counts_dd, counts_ddbar) -> GaussianFitResult:
 def transform_limited_fwhm(wavelength: float, bandwidth: float) -> float:
     """Coherence length (FWHM) of a Gaussian spectrum:
     (2 ln2 / pi) lambda^2 / dlambda, same length units in and out."""
-    if not (_huge_as_inf(math.isfinite, wavelength) and _huge_as_inf(math.isfinite, bandwidth)
-            and wavelength > 0 and bandwidth > 0):
+    if not (_isfinite(wavelength) and _isfinite(bandwidth) and wavelength > 0 and bandwidth > 0):
         raise ValueError("wavelength and bandwidth must be finite and positive")
     return (2.0 * math.log(2.0) / math.pi) * wavelength**2 / bandwidth

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import (ATOL_STRICT, DensityOperator, _freeze, _huge_as_inf, _qubit_indices,
-                    _require_state)
+from .qmath import (ATOL_STRICT, DensityOperator, _finite, _freeze, _isfinite, _qubit_indices,
+                    _require)
 
 __all__ = [
     "DephasingSpec",
@@ -60,11 +60,9 @@ _BASIS_SHAPE = "dephasing basis must be a finite 2x2 matrix of column states"
 
 @functools.lru_cache(maxsize=32)
 def _check_basis(basis: bytes) -> bool:
-    """Whether the 2x2 basis with these bytes is H/V; raises unless it is
-    finite and orthonormal (a rejection is not cached)."""
+    """Whether the finite 2x2 basis with these bytes is H/V; raises unless
+    it is orthonormal (a rejection is not cached)."""
     b = np.frombuffer(basis, dtype=complex).reshape(2, 2)
-    if not np.isfinite(b).all():
-        raise ValueError(_BASIS_SHAPE)
     if np.abs(b.conj().T @ b - _IDENTITY_2).max() >= ATOL_STRICT:
         raise ValueError("dephasing basis is not orthonormal within 1e-12")
     return bool(np.abs(b - _IDENTITY_2).max() < ATOL_STRICT)
@@ -109,7 +107,7 @@ class DephasingSpec:
     _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = _huge_as_inf(np.asarray, self.basis, complex)
+        b = _finite(self.basis, complex, _BASIS_SHAPE)
         if b.shape != (2, 2):
             raise ValueError(_BASIS_SHAPE)
         computational = _check_basis(b.tobytes())
@@ -117,7 +115,7 @@ class DephasingSpec:
             value = getattr(self, name)
             if not isinstance(value, _REAL):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-            if not _huge_as_inf(math.isfinite, value):
+            if not _isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.per_photon_sigma < 0 or self.delta_sigma < 0:
             raise ValueError("sigma parameters must be non-negative")
@@ -215,9 +213,8 @@ def _basis_change(basis: bytes, n: int, photons: tuple[int, ...]) -> tuple[np.nd
 
 def _check_stage(spec, rho, hv_only: bool = False) -> None:
     """The argument kinds every entry point checks; ``hv_only`` adds H/V."""
-    _require_state(rho)
-    if not isinstance(spec, DephasingSpec):
-        raise ValueError(f"spec must be a DephasingSpec, got {spec!r}")
+    _require(rho, DensityOperator, "state")
+    _require(spec, DephasingSpec, "spec")
     if hv_only and not spec.is_computational():
         raise ValueError("non-computational dephasing basis: route through rotate_basis")
 

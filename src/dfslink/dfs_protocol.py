@@ -33,7 +33,7 @@ from typing import Dict
 import numpy as np
 
 from .channels import DephasingSpec, _channel_photons, rotate_basis
-from .qmath import KET_D, DensityOperator, StateVector, _freeze, _require_state, tensor
+from .qmath import KET_D, DensityOperator, StateVector, _freeze, _require, tensor
 
 __all__ = [
     "ProtocolInput",
@@ -77,15 +77,12 @@ class ProtocolInput:
     keep_dbar_branch: bool = False
 
     def __post_init__(self):
-        state, spec = self.state, self.channel_spec
-        _require_state(state)
-        if not isinstance(spec, DephasingSpec):
-            raise ValueError(f"channel_spec must be a DephasingSpec, got {spec!r}")
-        if not isinstance(self.keep_dbar_branch, (bool, np.bool_)):
-            raise ValueError(f"keep_dbar_branch must be a bool, got {self.keep_dbar_branch!r}")
-        if state.num_qubits < 1:
+        _require(self.state, DensityOperator, "state")
+        _require(self.channel_spec, DephasingSpec, "channel_spec")
+        _require(self.keep_dbar_branch, (bool, np.bool_), "keep_dbar_branch")
+        if self.state.num_qubits < 1:
             raise ValueError("protocol input needs at least the channel qubit S")
-        if abs(state.norm - 1.0) > 1e-9:
+        if abs(self.state.norm - 1.0) > 1e-9:
             raise ValueError("protocol input state must be normalized")
 
 
@@ -108,7 +105,7 @@ _ANCILLA = prepare_ancilla().density()
 
 def encode_append(rho: DensityOperator) -> DensityOperator:
     """Append the ancilla: state (spectators..., S) -> (spectators..., S, S')."""
-    _require_state(rho)
+    _require(rho, DensityOperator, "state")
     return tensor(rho, _ANCILLA)
 
 
@@ -140,7 +137,7 @@ def qpg_sift(rho: DensityOperator, s_index: int, sprime_index: int) -> DensityOp
     matrix is positive with at most its trace, and averaging it with its
     conjugate transpose, the same matrix up to rounding, keeps both.
     """
-    _require_state(rho)
+    _require(rho, DensityOperator, "state")
     n = rho.num_qubits
     s_index, sprime_index = _channel_photons((s_index, sprime_index), n)
     keep = _sift_index(n, s_index, sprime_index)
@@ -162,20 +159,14 @@ def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     sub-normalized input; ``sift_fail`` = 1 - norm holds the rest, so the
     branches sum to one.
     """
-    _require_state(rho)
-    if not isinstance(keep_dbar, (bool, np.bool_)):
-        raise ValueError(f"keep_dbar must be a bool, got {keep_dbar!r}")
+    _require(rho, DensityOperator, "state")
+    _require(keep_dbar, (bool, np.bool_), "keep_dbar")
     p_branch = 0.5 * rho.norm
     dbar = "Dbar_corrected" if keep_dbar else "Dbar_discarded"
     branches = {"D": p_branch, dbar: p_branch, "sift_fail": 1.0 - rho.norm}
     success = rho.norm if keep_dbar else p_branch
     state = rho.normalized() if success > 0.0 else DensityOperator(np.zeros_like(rho.matrix))
     return ProtocolOutcome(state, success, branches)
-
-
-def _require_input(inp) -> None:
-    if not isinstance(inp, ProtocolInput):
-        raise ValueError(f"protocol input must be a ProtocolInput, got {type(inp).__name__}")
 
 
 def distribute(inp: ProtocolInput) -> ProtocolOutcome:
@@ -188,7 +179,7 @@ def distribute(inp: ProtocolInput) -> ProtocolOutcome:
     probability: the output lives on (spectators..., Y) and the branch map
     covers {D, Dbar, sift_fail}.
     """
-    _require_input(inp)
+    _require(inp, ProtocolInput, "protocol input")
     spec = inp.channel_spec
     choi = spec._memo.get("choi")
     if choi is None:
@@ -206,5 +197,5 @@ def baseline_direct(inp: ProtocolInput) -> DensityOperator:
     riding on S combine into one characteristic function.  Success
     probability is 1 (nothing is post-selected).
     """
-    _require_input(inp)
+    _require(inp, ProtocolInput, "protocol input")
     return rotate_basis(inp.channel_spec, inp.state, [inp.state.num_qubits - 1])

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -64,23 +63,32 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _inf_if_huge(x):
-    if isinstance(x, int) and abs(x) > sys.float_info.max:
-        return math.inf if x > 0 else -math.inf
-    return x
+def _require(value, kind, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a ``kind``: a type, or a
+    tuple of types named by its first."""
+    if not isinstance(value, kind):
+        kind = kind[0] if isinstance(kind, tuple) else kind
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
-_INF_IF_HUGE = np.frompyfunc(_inf_if_huge, 1, 1)
-
-
-def _huge_as_inf(convert, value, *args):
-    """``convert(value, *args)``, reading each int beyond the float range as
-    +-inf where it would raise ``OverflowError``, so that a check rejects it
-    with its message for inf.  Only such a value takes the second pass."""
+def _finite(value, dtype, message: str) -> np.ndarray:
+    """``np.asarray(value, dtype)``; raises ``ValueError(message)`` where an
+    entry is not finite or, as an int beyond the float range, overflows."""
     try:
-        return convert(value, *args)
+        array = np.asarray(value, dtype)
     except OverflowError:
-        return convert(_INF_IF_HUGE(np.asarray(value, dtype=object)), *args)
+        raise ValueError(message) from None
+    if not np.isfinite(array).all():
+        raise ValueError(message)
+    return array
+
+
+def _isfinite(x) -> bool:
+    """``math.isfinite(x)``, False for an int beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _num_qubits(dim: int) -> int:
@@ -110,11 +118,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = _huge_as_inf(np.asarray, self.amplitudes, complex).reshape(-1)
+        amp = _finite(self.amplitudes, complex, "state vector amplitudes must be finite").reshape(-1)
         if amp.size < 1:
             raise ValueError("state vector needs at least one amplitude")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("state vector amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _freeze(amp.copy()))
 
     @property
@@ -150,13 +156,11 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _huge_as_inf(np.asarray, self.matrix, complex)
+        m = _finite(self.matrix, complex, "density matrix entries must be finite")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if m.shape[0] == 0:
             raise ValueError("density matrix must not be empty")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
         if np.abs(m - m.conj().T).max() >= ATOL_STRICT:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = m.trace()
@@ -199,11 +203,6 @@ class DensityOperator:
         return DensityOperator(self.matrix / self.norm)
 
 
-def _require_state(rho) -> None:
-    if not isinstance(rho, DensityOperator):
-        raise ValueError(f"state must be a DensityOperator, got {type(rho).__name__}")
-
-
 def tensor(a: StateVector | DensityOperator,
            b: StateVector | DensityOperator) -> StateVector | DensityOperator:
     """Kronecker product of two ``StateVector``s or two ``DensityOperator``s,
@@ -235,7 +234,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     The reduced state is unchecked: a partial trace is completely positive
     and keeps the trace.
     """
-    _require_state(rho)
+    _require(rho, DensityOperator, "state")
     n = rho.num_qubits
     keep_sorted = sorted(set(_qubit_indices(keep)))
     if not keep_sorted:
@@ -253,9 +252,8 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 
 def fidelity_with_pure(rho: DensityOperator, psi: StateVector) -> float:
     """<psi| rho |psi> for a normalized pure target, clipped to [0, 1]."""
-    _require_state(rho)
-    if not isinstance(psi, StateVector):
-        raise ValueError(f"target must be a StateVector, got {type(psi).__name__}")
+    _require(rho, DensityOperator, "state")
+    _require(psi, StateVector, "target")
     if psi.dim != rho.dim:
         raise ValueError(f"dimension mismatch: rho {rho.dim}, psi {psi.dim}")
     if abs(psi.norm() - 1.0) > 1e-9:
@@ -272,10 +270,10 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     Raises on inputs that are not finite or not Hermitian within 1e-10.
     """
     try:
-        mat = _huge_as_inf(np.asarray, m, complex)
-    except (TypeError, ValueError):  # not array-like, e.g. a DensityOperator
+        mat = _finite(m, complex, "eig_hermitian requires a finite square matrix")
+    except (TypeError, ValueError):  # not finite, or not array-like, e.g. a string
         mat = np.empty(0)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("eig_hermitian requires a finite square matrix")
     if np.max(np.abs(mat - mat.conj().T), initial=0.0) >= ATOL_CHANNEL:
         raise ValueError("matrix is not Hermitian within 1e-10")
@@ -286,8 +284,8 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) ||a - b||_1 between two states of equal dimension."""
-    _require_state(a)
-    _require_state(b)
+    _require(a, DensityOperator, "state")
+    _require(b, DensityOperator, "state")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     diff = a.matrix - b.matrix
