@@ -302,7 +302,10 @@ def simulate_counts(
         raise ValueError("totals must be finite and positive")
     probs = np.real(np.einsum("ij,kji->k", rho.matrix, _projector_stack(settings)))
     probs = np.clip(probs, 0.0, 1.0)
-    counts = np.random.default_rng(seed).poisson(totals_arr * probs)
+    try:
+        counts = np.random.default_rng(seed).poisson(totals_arr * probs)
+    except ValueError:  # NumPy's limit on a Poisson mean
+        raise ValueError("totals are too large to draw Poisson counts") from None
     return [
         CountRecord(setting, int(count), scale=float(total))
         for setting, count, total in zip(settings, counts, totals_arr)
@@ -595,7 +598,10 @@ def monte_carlo_sd(
     values = []
     failures = 0
     for i in range(n_resamples):
-        draws = np.random.default_rng((seed, i)).poisson(lams).tolist()
+        try:
+            draws = np.random.default_rng((seed, i)).poisson(lams).tolist()
+        except ValueError:  # NumPy's limit on a Poisson mean
+            raise ValueError("counts are too large to redraw as Poisson counts") from None
         resampled = [CountRecord(r.setting, n, scale=r.scale) for r, n in zip(records, draws)]
         try:
             values.append(float(statistic(resampled)))
@@ -729,4 +735,10 @@ def transform_limited_fwhm(wavelength: float, bandwidth: float) -> float:
     (2 ln2 / pi) lambda^2 / dlambda, same length units in and out."""
     if not (_isfinite(wavelength) and _isfinite(bandwidth) and wavelength > 0 and bandwidth > 0):
         raise ValueError("wavelength and bandwidth must be finite and positive")
-    return (2.0 * math.log(2.0) / math.pi) * wavelength**2 / bandwidth
+    try:
+        fwhm = (2.0 * math.log(2.0) / math.pi) * wavelength**2 / bandwidth
+    except OverflowError:
+        fwhm = math.inf
+    if not math.isfinite(fwhm):
+        raise ValueError("the coherence length wavelength**2 / bandwidth is beyond the float range")
+    return fwhm

@@ -54,7 +54,7 @@ _SPREAD_CAP = 1e100
 # A mean phase beyond this, whose float spacing is far wider than 2 pi, is
 # reduced modulo 2 pi so that mean_phase * m stays finite.
 _PHASE_CAP = 1e300
-# Raised for a basis of the wrong shape and, by _check_basis, a non-finite one.
+# Raised by DephasingSpec for a basis that is not finite or not 2x2.
 _BASIS_SHAPE = "dephasing basis must be a finite 2x2 matrix of column states"
 
 

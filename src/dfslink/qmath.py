@@ -19,7 +19,9 @@ skips the checks and the copy (``DensityOperator._trusted``), and takes its
 trace only when ``norm`` is first read.  These maps are :func:`tensor`,
 :func:`partial_trace`, ``channels.rotate_basis`` and
 ``dfs_protocol.qpg_sift``; each docstring says why its map keeps positivity
-and trace.
+and trace.  Every module reads and rejects outside input through three
+private helpers here: ``_require`` for a kind, ``_finite`` for an array and
+``_isfinite`` for a scalar.
 """
 
 from __future__ import annotations
@@ -131,14 +133,28 @@ class StateVector:
     def num_qubits(self) -> int:
         return _num_qubits(self.dim)
 
+    def _scaled(self) -> tuple[float, np.ndarray, float]:
+        """(s, v, |v|) with amplitudes = s v: s = 1 unless the squares of a
+        nonzero vector under- or overflow, then s is the largest modulus of a
+        real or imaginary part."""
+        v = self.amplitudes
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(v))
+        if (n == 0.0 or n == math.inf) and v.any():
+            s = float(np.abs(v.view(float)).max())
+            v = (v.view(float) / s).view(complex)  # a complex divide by a subnormal s overflows
+            return s, v, float(np.linalg.norm(v))
+        return 1.0, v, n
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        s, _, n = self._scaled()
+        return s * n
 
     def normalize(self) -> "StateVector":
-        n = self.norm()
+        _, v, n = self._scaled()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n)
+        return StateVector(v / n)
 
     def density(self) -> "DensityOperator":
         """Return |psi><psi| (sub-normalized if the vector is)."""

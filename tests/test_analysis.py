@@ -1059,6 +1059,11 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
     pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(),
                                          [100.0] * 3, 1),
                  "one per setting", id="totals-wrong-length"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 1e300, 1),
+                 "totals are too large to draw Poisson counts", id="totals-beyond-poisson"),
+    pytest.param(lambda: monte_carlo_sd([CountRecord(s, 1e300) for s in tomography_settings()],
+                                        len),
+                 "counts are too large to redraw as Poisson counts", id="counts-beyond-poisson"),
     pytest.param(lambda: tomo_mle([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
                  "no complete H/V subset", id="no-scale-no-hv"),
     pytest.param(lambda: tomo_linear([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
@@ -1083,6 +1088,8 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
                  "state must be a DensityOperator", id="partial-trace-ndarray"),
     pytest.param(lambda: CountRecord("HH", 3), "setting must be a MeasSetting",
                  id="string-setting"),
+    pytest.param(lambda: CountRecord(None, 3), "^setting must be a MeasSetting, got NoneType$",
+                 id="setting-kind-named"),
     pytest.param(lambda: CountRecord(MeasSetting("H", "H"), 10**400),
                  "counts must be finite and non-negative", id="huge-int-count"),
     pytest.param(lambda: CountRecord(MeasSetting("H", "H"), 3, scale=10**400),
@@ -1117,6 +1124,9 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
     pytest.param(lambda: transform_limited_fwhm(0.79, 10**400),
                  "wavelength and bandwidth must be finite and positive",
                  id="huge-int-bandwidth"),
+    pytest.param(lambda: transform_limited_fwhm(1e200, 1e-200),
+                 r"coherence length wavelength\*\*2 / bandwidth is beyond the float range",
+                 id="fwhm-beyond-float-range"),
     pytest.param(lambda: gaussian_fit([5.0] * 6, [1.0] * 6, [1.0] * 6), "nonzero range",
                  id="equal-delays"),
     pytest.param(lambda: gaussian_fit(np.zeros((2, 3)), np.ones((2, 3)), np.ones((2, 3))),

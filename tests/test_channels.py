@@ -479,6 +479,8 @@ def test_spec_rejects_an_int_beyond_the_float_range():
                  "state must be a DensityOperator", id="apply-phase-damping-ndarray-state"),
     pytest.param(lambda: apply_phase_damping(KET_D.density(), [0], None),
                  "spec must be a DephasingSpec", id="apply-phase-damping-none-spec"),
+    pytest.param(lambda: rotate_basis(None, KET_D.density(), [0]),
+                 "^spec must be a DephasingSpec, got NoneType$", id="spec-kind-named"),
 ])
 def test_channel_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):

@@ -157,6 +157,10 @@ def test_qpg_sift_bad_indices():
                  id="string-keep-dbar"),
     pytest.param((KET_D.density(), UNIFORM, 1), "keep_dbar_branch must be a bool",
                  id="int-keep-dbar"),
+    pytest.param((KET_D.density(), None), "^channel_spec must be a DephasingSpec, got NoneType$",
+                 id="spec-kind-named"),
+    pytest.param((KET_D.density(), UNIFORM, "no"), "^keep_dbar_branch must be a bool, got str$",
+                 id="keep-dbar-kind-named"),
 ])
 def test_protocol_input_rejection_messages(args, match):
     with pytest.raises(ValueError, match=match):
@@ -173,6 +177,11 @@ def test_protocol_input_keeps_dbar_for_python_and_numpy_bools(keep):
 def test_decode_rejects_non_bool_keep_dbar(keep):
     with pytest.raises(ValueError, match="keep_dbar must be a bool"):
         decode(DensityOperator(np.eye(2) / 2), keep_dbar=keep)
+
+
+def test_decode_names_the_kind_of_a_non_bool_keep_dbar():
+    with pytest.raises(ValueError, match="^keep_dbar must be a bool, got NoneType$"):
+        decode(DensityOperator(np.eye(2) / 2), keep_dbar=None)
 
 
 @pytest.mark.parametrize("stage", [

@@ -140,9 +140,36 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian([[1, 0], [0, 10**400]])
 
 
+@pytest.mark.parametrize("m", ["abc", KET_H.density()], ids=["string", "density-operator"])
+def test_eig_hermitian_rejects_what_is_no_array_with_its_own_message(m):
+    with pytest.raises(ValueError, match="^eig_hermitian requires a finite square matrix$"):
+        eig_hermitian(m)
+
+
 def test_state_vector_normalize():
     v = StateVector([3.0, 4.0]).normalize()
     assert abs(v.norm() - 1.0) < 1e-12
+
+
+def test_state_vector_normalize_of_an_ordinary_vector_is_one_division():
+    amplitudes = np.array([3.0, 4.0j, 1e-3])
+    unit = StateVector(amplitudes).normalize()
+    assert unit.amplitudes.tobytes() == (amplitudes / np.linalg.norm(amplitudes)).tobytes()
+
+
+@pytest.mark.parametrize("amplitudes, norm, unit", [
+    ([1e308, 1e308j], 2**0.5 * 1e308, [2**-0.5, 2**-0.5 * 1j]),
+    ([3e-320, 4e-320], 5e-320, [0.6, 0.8]),
+], ids=["squares-overflow", "squares-underflow"])
+def test_state_vector_norm_of_a_finite_nonzero_vector_is_finite_and_nonzero(amplitudes, norm,
+                                                                            unit):
+    # The squares leave the float range, the norm does not; subnormal
+    # amplitudes carry about four digits.
+    v = StateVector(amplitudes)
+    assert v.norm() == pytest.approx(norm, rel=1e-3)
+    normalized = v.normalize()
+    np.testing.assert_allclose(normalized.amplitudes, unit, rtol=0, atol=1e-3)
+    assert abs(normalized.norm() - 1.0) < 1e-15
 
 
 def test_density_operator_rejects_non_hermitian():
