@@ -736,7 +736,7 @@ def transform_limited_fwhm(wavelength: float, bandwidth: float) -> float:
     if not (_isfinite(wavelength) and _isfinite(bandwidth) and wavelength > 0 and bandwidth > 0):
         raise ValueError("wavelength and bandwidth must be finite and positive")
     try:
-        fwhm = (2.0 * math.log(2.0) / math.pi) * wavelength**2 / bandwidth
+        fwhm = (2.0 * math.log(2.0) / math.pi) * float(wavelength)**2 / float(bandwidth)
     except OverflowError:
         fwhm = math.inf
     if not math.isfinite(fwhm):

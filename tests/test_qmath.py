@@ -161,8 +161,7 @@ def test_state_vector_normalize_of_an_ordinary_vector_is_one_division():
     ([1e308, 1e308j], 2**0.5 * 1e308, [2**-0.5, 2**-0.5 * 1j]),
     ([3e-320, 4e-320], 5e-320, [0.6, 0.8]),
 ], ids=["squares-overflow", "squares-underflow"])
-def test_state_vector_norm_of_a_finite_nonzero_vector_is_finite_and_nonzero(amplitudes, norm,
-                                                                            unit):
+def test_state_vector_norm_survives_squares_beyond_the_float_range(amplitudes, norm, unit):
     # The squares leave the float range, the norm does not; subnormal
     # amplitudes carry about four digits.
     v = StateVector(amplitudes)
