@@ -94,16 +94,24 @@ def _analyzer_ket(a: Analyzer) -> StateVector:
     return StateVector([math.cos(theta), math.sin(theta)])
 
 
-def _canonical_angle(a: float) -> float:
-    """A linear analyzer's angle mod 180 degrees, rounded to 6 digits; the
-    second mod sends angles that round up to 180 back to 0."""
-    return round(float(a) % 180.0, 6) % 180.0
+def _analyzer(a: Analyzer) -> Analyzer:
+    """The one identity of an analyzer: a name stays, and an angle is taken
+    mod 180 degrees and rounded to 6 digits (the second mod sends angles
+    that round up to 180 back to 0), with 0, 90, 45 and 135 named H/V/D/A."""
+    if isinstance(a, str):
+        if a not in _NAMED_ANALYZERS:
+            raise ValueError(f"unknown analyzer label {a!r}")
+        return a
+    if not _isfinite(a):
+        raise ValueError(f"analyzer angle must be finite, got {a!r}")
+    angle = round(float(a) % 180.0, 6) % 180.0
+    return {0.0: "H", 90.0: "V", 45.0: "D", 135.0: "A"}.get(angle, angle)
 
 
 @dataclass(frozen=True, eq=True)
 class MeasSetting:
     """One joint analyzer setting: a polarization name (H/V/D/A/L/R) or a
-    linear-polarizer angle in degrees per side."""
+    linear-polarizer angle in degrees per side, stored in canonical form."""
 
     analyzer_a: Analyzer
     analyzer_b: Analyzer
@@ -112,14 +120,7 @@ class MeasSetting:
 
     def __post_init__(self):
         for name in ("analyzer_a", "analyzer_b"):
-            a = getattr(self, name)
-            if isinstance(a, str):
-                if a not in _NAMED_ANALYZERS:
-                    raise ValueError(f"unknown analyzer label {a!r}")
-            elif not _isfinite(a):
-                raise ValueError(f"analyzer angle must be finite, got {a!r}")
-            else:
-                object.__setattr__(self, name, _canonical_angle(a))
+            object.__setattr__(self, name, _analyzer(getattr(self, name)))
         object.__setattr__(self, "_projector", _freeze(
             np.kron(projector(_analyzer_ket(self.analyzer_a)),
                     projector(_analyzer_ket(self.analyzer_b)))))
@@ -205,20 +206,11 @@ def chsh_settings(settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> list[MeasS
     return [MeasSetting(x, y) for _, pairs in _chsh_terms(settings) for x, y in pairs]
 
 
-def _angle_key(a: Analyzer) -> Analyzer:
-    """The one identity of an analyzer: a linear analyzer (H/V/D/A or an
-    angle) is its canonical angle, rounded as ``MeasSetting`` rounds it; the
-    circular analyzers L and R keep their names."""
-    if isinstance(a, str):
-        return {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}.get(a, a)
-    return _canonical_angle(a)
-
-
 def _count_table(records: Sequence[CountRecord]) -> dict:
-    """Total count per analyzer-key pair, summed over repeated records."""
+    """Total count per analyzer pair, summed over repeated records."""
     table = {}
     for rec in records:
-        k = (_angle_key(rec.setting.analyzer_a), _angle_key(rec.setting.analyzer_b))
+        k = (rec.setting.analyzer_a, rec.setting.analyzer_b)
         table[k] = table.get(k, 0.0) + float(rec.count)
     return table
 
@@ -235,7 +227,7 @@ def _correlation_estimate(table: dict, terms, offset: float = 0.0) -> tuple[floa
     value = offset
     grad = {}
     for weight, analyzers in terms:
-        keys = [(_angle_key(x), _angle_key(y)) for x, y in analyzers]
+        keys = [(_analyzer(x), _analyzer(y)) for x, y in analyzers]
         try:
             c_pp, c_pm, c_mp, c_mm = (table[k] for k in keys)
         except KeyError as exc:
@@ -335,7 +327,7 @@ def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
     if not np.any(np.isnan(scales)):
         return scales
     table = _count_table(records)
-    total = sum(table.get((a, b), 0.0) for a in (0.0, 90.0) for b in (0.0, 90.0))
+    total = sum(table.get((a, b), 0.0) for a in "HV" for b in "HV")
     if total <= 0:
         raise ValueError(
             "records carry no scale and no complete H/V subset to estimate it"

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import (ATOL_STRICT, DensityOperator, _finite, _freeze, _isfinite, _qubit_indices,
-                    _require)
+from .qmath import (ATOL_STRICT, KET_L, KET_R, DensityOperator, _finite, _freeze, _isfinite,
+                    _qubit_indices, _require)
 
 __all__ = [
     "DephasingSpec",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 # Columns are the circular basis states L, R expressed in H/V.
-CIRCULAR_BASIS = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)
+CIRCULAR_BASIS = np.column_stack([KET_L.amplitudes, KET_R.amplitudes])
 
 _IDENTITY_2 = np.eye(2, dtype=complex)
 # The kinds of scalar a phase or spread may be: Python and NumPy reals.

@@ -74,11 +74,11 @@ def _require(value, kind, name: str) -> None:
 
 
 def _finite(value, dtype, message: str) -> np.ndarray:
-    """``np.asarray(value, dtype)``; raises ``ValueError(message)`` where an
-    entry is not finite or, as an int beyond the float range, overflows."""
+    """``np.asarray(value, dtype)``, or ``ValueError(message)`` where that fails
+    (a string, a ragged list, an int beyond the float range) or an entry is not finite."""
     try:
         array = np.asarray(value, dtype)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         raise ValueError(message) from None
     if not np.isfinite(array).all():
         raise ValueError(message)
@@ -86,10 +86,10 @@ def _finite(value, dtype, message: str) -> np.ndarray:
 
 
 def _isfinite(x) -> bool:
-    """``math.isfinite(x)``, False for an int beyond the float range."""
+    """``math.isfinite(x)``, False for an int beyond the float range or a non-number."""
     try:
         return math.isfinite(x)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -285,10 +285,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
     Raises on inputs that are not finite or not Hermitian within 1e-10.
     """
-    try:
-        mat = _finite(m, complex, "eig_hermitian requires a finite square matrix")
-    except (TypeError, ValueError):  # not finite, or not array-like, e.g. a string
-        mat = np.empty(0)
+    mat = _finite(m, complex, "eig_hermitian requires a finite square matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("eig_hermitian requires a finite square matrix")
     if np.max(np.abs(mat - mat.conj().T), initial=0.0) >= ATOL_CHANNEL:

@@ -217,6 +217,23 @@ def test_angle_valued_records_match_named():
     assert MeasSetting(45.0000004, 179.9999996) == MeasSetting(45.0, 0.0)
 
 
+def test_an_analyzer_has_one_identity():
+    # An angle at 0, 90, 45 or 135 degrees is the named analyzer, with its
+    # exact ket; other angles stay angles, taken mod 180.
+    angles, names = MeasSetting(0.0, 45.0), MeasSetting("H", "D")
+    assert angles == names and hash(angles) == hash(names)
+    assert repr(angles) == "MeasSetting(analyzer_a='H', analyzer_b='D')"
+    assert angles.joint_projector().tobytes() == names.joint_projector().tobytes()
+    assert MeasSetting(-45.0, 90.0000004) == MeasSetting("A", "V")
+    assert MeasSetting(30.0, 180.0).analyzer_a == 30.0
+    # Angle-valued tomography settings share the named settings' model.
+    angle_of = {"H": 0.0, "V": 90.0, "D": 45.0, "R": "R"}
+    by_angle = tuple(MeasSetting(angle_of[s.analyzer_a], angle_of[s.analyzer_b])
+                     for s in tomography_settings())
+    model = dfslink.analysis._setting_model
+    assert model(by_angle) is model(tuple(tomography_settings()))
+
+
 def test_chsh_separable_bound(rng):
     # Random separable states: mixtures of product states stay below 2.
     for _ in range(1000):
@@ -1096,6 +1113,24 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
                  "scale must be finite and positive", id="huge-int-scale"),
     pytest.param(lambda: MeasSetting("H", -10**400), "analyzer angle must be finite",
                  id="huge-int-angle"),
+    pytest.param(lambda: CountRecord(MeasSetting("H", "H"), "3"),
+                 "^counts must be finite and non-negative$", id="string-count"),
+    pytest.param(lambda: MeasSetting("H", [1.0]),
+                 r"^analyzer angle must be finite, got \[1.0\]$", id="list-angle"),
+    pytest.param(lambda: DelayScanModel("x", 0.5, 1.0), "^background must be finite$",
+                 id="string-background"),
+    pytest.param(lambda: transform_limited_fwhm("x", 1.0),
+                 "^wavelength and bandwidth must be finite and positive$",
+                 id="string-wavelength"),
+    pytest.param(lambda: chsh_settings(("a", 1, 2, 3)),
+                 r"^CHSH settings must be four finite angles, got \('a', 1, 2, 3\)$",
+                 id="chsh-string-angle"),
+    pytest.param(lambda: delay_scan(DelayScanModel(1.0, 0.5, 10.0), "abc"),
+                 "^delays must be finite$", id="scan-string-delays"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), "abc", 1),
+                 "^totals must be finite and positive$", id="string-totals"),
+    pytest.param(lambda: gaussian_fit("abc", [1.0] * 6, [1.0] * 6),
+                 "^delays and counts must be finite$", id="fit-string-delays"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=1),
                  "at least two resamples", id="one-resample"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), _raise, n_resamples=3),

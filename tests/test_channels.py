@@ -575,7 +575,8 @@ _SHAPE = re.escape("dephasing basis must be a finite 2x2 matrix of column states
     ([[1, 0], [0, 10**400]], _SHAPE),
     ([[1.0, 1.0], [0.0, 0.0]], re.escape("dephasing basis is not orthonormal within 1e-12")),
     (np.eye(3), _SHAPE),
-], ids=["nan", "inf", "huge-int", "not-orthonormal", "3x3"])
+    ("abc", _SHAPE),
+], ids=["nan", "inf", "huge-int", "not-orthonormal", "3x3", "string"])
 def test_basis_check_rejects_a_bad_basis_every_time(basis, match):
     # The basis checks are cached by value; a rejection must not be.
     for _ in range(2):

@@ -198,6 +198,8 @@ def test_density_operator_rejects_non_finite(dim, bad):
     (np.array([[1.5, 0.0], [0.0, -0.5]]), "not PSD"),
     (np.diag(np.r_[-1e-3, np.full(127, (1 + 1e-3) / 127)]), "not PSD"),
     ([[1, 0], [0, -10**400]], "entries must be finite"),
+    ("abc", "^density matrix entries must be finite$"),
+    ([[1, 0], [0]], "^density matrix entries must be finite$"),
 ])
 def test_density_operator_rejection_messages(matrix, match):
     with pytest.raises(ValueError, match=match):
@@ -208,6 +210,7 @@ def test_density_operator_rejection_messages(matrix, match):
     ([], "at least one amplitude"),
     ([np.nan], "finite"),
     ([10**400, 0], "amplitudes must be finite"),
+    ("abc", "^state vector amplitudes must be finite$"),
 ])
 def test_state_vector_rejection_messages(amplitudes, match):
     with pytest.raises(ValueError, match=match):
