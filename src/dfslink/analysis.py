@@ -33,9 +33,7 @@ from .qmath import (
     KET_L,
     KET_R,
     KET_V,
-    PAULI_X,
     PAULI_Y,
-    PAULI_Z,
     DensityOperator,
     StateVector,
     eig_hermitian,
@@ -85,6 +83,9 @@ Analyzer = Union[str, float]
 # The three complete correlation bases of the Bell-fidelity estimate, each as
 # its (+, -) analyzers: the ZZ, XX and YY products.
 _STOKES_BASES = (("H", "V"), ("D", "A"), ("R", "L"))
+# The signs of the outcomes ++, +-, -+, -- in a correlation, and of S's terms.
+_PARITY = (1, -1, -1, 1)
+_CHSH_SIGNS = (1, -1, 1, 1)
 
 
 def _analyzer_ket(a: Analyzer) -> StateVector:
@@ -149,8 +150,12 @@ class CountRecord:
 
 
 def _list_of(kind, items, name: str) -> list:
-    """``items`` as a list, each of which must be a ``kind``."""
-    items = list(items)
+    """``items`` as a list, each of which must be a ``kind``; the ``ValueError``
+    names the type of the first that is not, or of ``items`` if not iterable."""
+    try:
+        items = list(items)
+    except TypeError:
+        raise ValueError(f"{name} must be {kind.__name__}s, got {type(items).__name__}") from None
     for item in items:
         if not isinstance(item, kind):
             raise ValueError(f"{name} must be {kind.__name__}s, got {type(item).__name__}")
@@ -167,38 +172,33 @@ class TomographyResult:
     log_likelihood_history: tuple = ()
 
 
-def _pauli_observable(theta_deg: float) -> np.ndarray:
-    t = math.radians(theta_deg)
-    return math.cos(2 * t) * PAULI_Z + math.sin(2 * t) * PAULI_X
-
-
 def _chsh_terms(settings: Sequence[float]) -> list:
     """(sign, analyzer pairs) of each term of S = E(a,b) - E(a,b') + E(a',b)
-    + E(a',b') for the angles (a, a', b, b'); a term's pairs are
-    {a, a+90} x {b, b+90} in the order ++, +-, -+, --."""
-    if len(settings) != 4 or not all(_isfinite(a) for a in settings):
+    + E(a',b') for the angles (a, a', b, b'), read once from any iterable; a
+    term's pairs are the canonical {a, a+90} x {b, b+90} in the order ++,
+    +-, -+, --."""
+    try:
+        a, ap, b, bp = settings
+    except (TypeError, ValueError):
+        a = ap = b = bp = math.nan
+    if not all(_isfinite(x) for x in (a, ap, b, bp)):
         raise ValueError(f"CHSH settings must be four finite angles, got {settings!r}")
-    a, ap, b, bp = settings
-    return [(sign, [(ta + da, tb + db) for da in (0.0, 90.0) for db in (0.0, 90.0)])
-            for sign, ta, tb in ((1.0, a, b), (-1.0, a, bp), (1.0, ap, b), (1.0, ap, bp))]
+    return [(sign, [(_analyzer(ta + da), _analyzer(tb + db))
+                    for da in (0.0, 90.0) for db in (0.0, 90.0)])
+            for sign, (ta, tb) in zip(_CHSH_SIGNS, ((a, b), (a, bp), (ap, b), (ap, bp)))]
 
 
 def chsh_value(rho: DensityOperator,
                settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> float:
-    """Bell parameter S = E(a,b) - E(a,b') + E(a',b) + E(a',b') of a
-    two-qubit ``DensityOperator``; any other input is a ``ValueError``.
-
-    E(ta, tb) is the expectation of sigma(ta) (x) sigma(tb) with
-    sigma(t) = cos(2t) Z + sin(2t) X; angles in degrees.
-    """
+    """Bell parameter S = E(a,b) - E(a,b') + E(a',b) + E(a',b') of a two-qubit
+    ``DensityOperator`` (anything else is a ``ValueError``), the exact value
+    of ``chsh_from_counts``'s estimate: E(ta, tb) is the parity-signed sum of
+    tr(rho P) over the projectors P of {ta, ta+90} x {tb, tb+90}, in degrees
+    kept to 1e-6 as ``MeasSetting`` keeps them."""
     if not isinstance(rho, DensityOperator) or rho.dim != 4:
         raise ValueError("chsh_value requires a two-qubit DensityOperator")
-
-    def corr(ta, tb):
-        obs = np.kron(_pauli_observable(ta), _pauli_observable(tb))
-        return float(np.real(np.trace(rho.matrix @ obs)))
-
-    return sum(sign * corr(*pairs[0]) for sign, pairs in _chsh_terms(settings))
+    probs = _probabilities(rho, chsh_settings(settings)).reshape(4, 4)
+    return float(np.dot(_CHSH_SIGNS, probs @ _PARITY))
 
 
 def chsh_settings(settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> list[MeasSetting]:
@@ -209,7 +209,7 @@ def chsh_settings(settings: Sequence[float] = DEFAULT_CHSH_ANGLES) -> list[MeasS
 def _count_table(records: Sequence[CountRecord]) -> dict:
     """Total count per analyzer pair, summed over repeated records."""
     table = {}
-    for rec in records:
+    for rec in _list_of(CountRecord, records, "records"):
         k = (rec.setting.analyzer_a, rec.setting.analyzer_b)
         table[k] = table.get(k, 0.0) + float(rec.count)
     return table
@@ -218,8 +218,8 @@ def _count_table(records: Sequence[CountRecord]) -> dict:
 def _correlation_estimate(table: dict, terms, offset: float = 0.0) -> tuple[float, float]:
     """offset + sum_t w_t E_t and its Poisson standard deviation.
 
-    Each term is (w_t, analyzers) with ``analyzers`` the ((a+, b+), (a+, b-),
-    (a-, b+), (a-, b-)) pairs of one complete basis, and
+    Each term is (w_t, analyzers) with ``analyzers`` the canonical ((a+, b+),
+    (a+, b-), (a-, b+), (a-, b-)) pairs of one complete basis, and
     E = (C++ + C-- - C+- - C-+) / sum(C).  The variance is g^T diag(C) g,
     where each count's gradient g sums over every term that uses it, so
     terms sharing counts get their covariance.
@@ -227,9 +227,8 @@ def _correlation_estimate(table: dict, terms, offset: float = 0.0) -> tuple[floa
     value = offset
     grad = {}
     for weight, analyzers in terms:
-        keys = [(_analyzer(x), _analyzer(y)) for x, y in analyzers]
         try:
-            c_pp, c_pm, c_mp, c_mm = (table[k] for k in keys)
+            c_pp, c_pm, c_mp, c_mm = (table[k] for k in analyzers)
         except KeyError as exc:
             raise ValueError(f"missing counts for analyzer pair {exc}") from None
         total = c_pp + c_pm + c_mp + c_mm
@@ -237,7 +236,7 @@ def _correlation_estimate(table: dict, terms, offset: float = 0.0) -> tuple[floa
             raise ValueError(f"zero total counts for analyzer pairs {analyzers}")
         e = (c_pp + c_mm - c_pm - c_mp) / total
         value += weight * e
-        for k, sign in zip(keys, (1.0, -1.0, -1.0, 1.0)):
+        for k, sign in zip(analyzers, _PARITY):
             grad[k] = grad.get(k, 0.0) + weight * (sign - e) / total
     return value, math.sqrt(sum(table[k] * g**2 for k, g in grad.items()))
 
@@ -253,7 +252,6 @@ def chsh_from_counts(
     repeated angles included.  Records with a circular analyzer (L or R)
     are ignored.
     """
-    records = _list_of(CountRecord, records, "records")
     return _correlation_estimate(_count_table(records), _chsh_terms(settings))
 
 
@@ -278,8 +276,8 @@ def simulate_counts(
 ) -> list[CountRecord]:
     """Poisson coincidence counts with mean total * <projector>.
 
-    ``totals`` is the per-setting expected total (scalar broadcast).
-    Deterministic for a fixed seed.
+    ``totals`` is the per-setting expected total (scalar broadcast).  The
+    ``seed`` must be a non-negative integer, and fixes every count.
     """
     _require(rho, DensityOperator, "state")
     if rho.dim != 4:
@@ -292,10 +290,12 @@ def simulate_counts(
     totals_arr = _finite(totals_arr, float, "totals must be finite and positive")
     if not (totals_arr > 0).all():
         raise ValueError("totals must be finite and positive")
-    probs = np.real(np.einsum("ij,kji->k", rho.matrix, _projector_stack(settings)))
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = np.clip(_probabilities(rho, settings), 0.0, 1.0)
+    if _integer_arg("seed", seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
     try:
-        counts = np.random.default_rng(seed).poisson(totals_arr * probs)
+        counts = rng.poisson(totals_arr * probs)
     except ValueError:  # NumPy's limit on a Poisson mean
         raise ValueError("totals are too large to draw Poisson counts") from None
     return [
@@ -306,6 +306,11 @@ def simulate_counts(
 
 def _projector_stack(settings: Sequence[MeasSetting]) -> np.ndarray:
     return np.array([s.joint_projector() for s in settings]).reshape(-1, 4, 4)
+
+
+def _probabilities(rho: DensityOperator, settings: Sequence[MeasSetting]) -> np.ndarray:
+    """The Born rule: tr(rho P) for the joint projector P of each setting."""
+    return np.real(np.einsum("ij,kji->k", rho.matrix, _projector_stack(settings)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -577,21 +582,25 @@ def monte_carlo_sd(
     """Parametric-bootstrap standard deviation of a count statistic.
 
     Each resample redraws every count as Poisson(observed), in record order
-    from one generator seeded with (seed, index), recomputes the statistic,
-    and the sample standard deviation is returned.  Resamples on which the
-    statistic raises are excluded and reported via a warning log.
+    from one generator seeded with (seed, index), ``seed`` a non-negative
+    integer, recomputes the statistic, and the sample standard deviation is
+    returned.  Resamples on which the statistic raises are excluded and
+    reported via a warning log.
     """
     if _integer_arg("n_resamples", n_resamples) < 2:
         raise ValueError("need at least two resamples")
     records = _list_of(CountRecord, records, "records")
     if not callable(statistic):
         raise ValueError(f"statistic must be callable, got {type(statistic).__name__}")
+    if _integer_arg("seed", seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     lams = np.array([float(r.count) for r in records])
     values = []
     failures = 0
     for i in range(n_resamples):
+        rng = np.random.default_rng((seed, i))
         try:
-            draws = np.random.default_rng((seed, i)).poisson(lams).tolist()
+            draws = rng.poisson(lams).tolist()
         except ValueError:  # NumPy's limit on a Poisson mean
             raise ValueError("counts are too large to redraw as Poisson counts") from None
         resampled = [CountRecord(r.setting, n, scale=r.scale) for r, n in zip(records, draws)]
@@ -614,10 +623,9 @@ def bell_fidelity_from_counts(records: Sequence[CountRecord]) -> tuple[float, fl
     from its complete 4-outcome basis; the error bar propagates Poisson
     variances.  Repeated records of one setting are summed.
     """
-    records = _list_of(CountRecord, records, "records")
-    terms = [(0.25 * sign, [(x, y) for x in basis for y in basis])
-             for sign, basis in zip((1.0, -1.0, 1.0), _STOKES_BASES)]
-    return _correlation_estimate(_count_table(records), terms, offset=0.25)
+    return _correlation_estimate(_count_table(records), [
+        (0.25 * sign, [(x, y) for x in basis for y in basis])
+        for sign, basis in zip((1.0, -1.0, 1.0), _STOKES_BASES)], offset=0.25)
 
 
 @dataclass(frozen=True)

@@ -169,35 +169,31 @@ def _channel_photons(photons, n: int, jittered: bool = False) -> list[int]:
     return idx
 
 
-@functools.lru_cache
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, m_jitter) pairs of a spec's characteristic table, flat and
-    read-only: m in 0..k, then -k..-1, and m_jitter in {-1, 0, 1}, so pair
-    (m, m_jitter) sits at position 3m + m_jitter + 1 for every k >= |m|,
-    a negative position counting from the end."""
-    return (_freeze(np.repeat(np.r_[0:k + 1, -k:0], 3)),
-            _freeze(np.tile(np.arange(-1, 2), 2 * k + 1)))
-
-
 @functools.lru_cache(maxsize=32)
-def _damping_index(n: int, photons: tuple[int, ...]) -> np.ndarray:
-    """Each entry's position in the pairs of :func:`_pairs` (read-only): its
-    (m, m_jitter), the excitation differences ket minus bra of all
-    ``photons`` and of the first."""
+def _damping_index(n: int, photons: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """Each entry's position in a spec's table, and the table's (m, m_jitter)
+    pairs for k = max(2, len(photons)), all read-only.  An entry's pair is
+    the excitation differences ket minus bra of all ``photons`` and of the
+    first.  The pairs are flat: m in 0..k, then -k..-1, and m_jitter in
+    {-1, 0, 1}, so (m, m_jitter) sits at position 3m + m_jitter + 1 for
+    every k >= |m|, a negative position counting from the end."""
+    k = max(2, len(photons))
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.asarray(photons))) & 1
     ket = 3 * bits.sum(axis=1) + bits[:, 0]
-    return _freeze(ket[:, None] - ket + 1)
+    pairs = np.repeat(np.r_[0:k + 1, -k:0], 3), np.tile(np.arange(-1, 2), 2 * k + 1)
+    return _freeze(ket[:, None] - ket + 1), tuple(map(_freeze, pairs))
 
 
 def _damping(spec: DephasingSpec, n: int, photons: tuple[int, ...]) -> np.ndarray:
     """``spec.characteristic`` at each entry's (m, m_jitter), gathered from
-    the spec's table.  The first call makes the table for k >= 2 channel
-    photons, the link's pair, so the probe and the single-photon baseline
-    share it; a call with more photons rebuilds it larger."""
+    the spec's table of :func:`_damping_index`'s pairs.  The first call makes
+    it for k >= 2 channel photons, the link's pair, so the probe and the
+    single-photon baseline share it; more photons' pairs rebuild it larger."""
+    index, pairs = _damping_index(n, photons)
     table = spec._memo.get("table")
-    if table is None or table.size < 6 * len(photons) + 3:
-        table = spec._memo["table"] = _freeze(spec.characteristic(*_pairs(max(2, len(photons)))))
-    return table.take(_damping_index(n, photons))
+    if table is None or table.size < pairs[0].size:
+        table = spec._memo["table"] = _freeze(spec.characteristic(*pairs))
+    return table.take(index)
 
 
 @functools.lru_cache(maxsize=32)

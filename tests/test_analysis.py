@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,44 @@ def test_chsh_tsirelson_bound(rng):
         rho = random_density(4, rng, rank=int(rng.integers(1, 5)))
         angles = tuple(rng.uniform(0, 180, size=4))
         assert abs(chsh_value(rho, angles)) <= 2 * math.sqrt(2) + 1e-9
+
+
+def test_chsh_value_matches_pauli_observables(rng):
+    # Independent oracle: E(ta, tb) = tr(rho sigma(ta) (x) sigma(tb)) with
+    # sigma(t) = cos 2t Z + sin 2t X, the difference of the projectors onto
+    # the analyzer angles t and t + 90 that chsh_value sums over.  Analyzers
+    # keep angles to 1e-6 degrees, so the angles are drawn on that grid.
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def sigma(t):
+        return math.cos(2 * math.radians(t)) * z + math.sin(2 * math.radians(t)) * x
+
+    def pauli_chsh(rho, angles):
+        a, ap, b, bp = angles
+        return sum(sign * float(np.real(np.trace(rho.matrix @ np.kron(sigma(ta), sigma(tb)))))
+                   for sign, ta, tb in ((1, a, b), (-1, a, bp), (1, ap, b), (1, ap, bp)))
+
+    for k in range(60):
+        rho = random_density(4, rng, rank=int(rng.integers(1, 5)))
+        if k % 3 == 0:  # sub-normalized, as a post-selected state is
+            rho = DensityOperator(rng.uniform(0.1, 1.0) * rho.matrix)
+        angles = [float(t) for t in rng.integers(-200_000_000, 200_000_000, size=4) / 1e6]
+        if k % 4 == 1:
+            angles[3] = angles[2]
+        elif k % 4 == 2:
+            angles[1] = angles[0] + 180.0 * int(rng.integers(-1, 2))
+        for chosen in (angles, DEFAULT_CHSH_ANGLES, (0.0, 0.0, 45.0, 45.0)):
+            assert abs(chsh_value(rho, chosen) - pauli_chsh(rho, chosen)) < 1e-14
+
+
+def test_chsh_reads_an_iterator_of_angles():
+    angles = (10.0, 55.0, -12.5, 33.0)
+    rho = werner(0.8)
+    records = exact_chsh_records(rho, 1e6, angles)
+    assert chsh_settings(iter(angles)) == chsh_settings(angles)
+    assert chsh_value(rho, iter(angles)) == chsh_value(rho, angles)
+    assert chsh_from_counts(records, iter(angles)) == chsh_from_counts(records, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,6 +1244,33 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
                  "statistic must be callable, got int", id="bootstrap-int-statistic"),
     pytest.param(lambda: simulate_counts(PHI.density(), [MeasSetting("H", "H"), 5], 100.0, 1),
                  "settings must be MeasSettings, got int", id="counts-int-setting"),
+    pytest.param(lambda: simulate_counts(PHI.density(), None, 100.0, 1),
+                 "^settings must be MeasSettings, got NoneType$", id="counts-no-settings"),
+    pytest.param(lambda: chsh_from_counts(None), "^records must be CountRecords, got NoneType$",
+                 id="chsh-no-records"),
+    pytest.param(lambda: bell_fidelity_from_counts(None),
+                 "^records must be CountRecords, got NoneType$", id="fidelity-no-records"),
+    pytest.param(lambda: tomo_linear(None), "^records must be CountRecords, got NoneType$",
+                 id="tomo-linear-no-records"),
+    pytest.param(lambda: tomo_mle(None), "^records must be CountRecords, got NoneType$",
+                 id="tomo-mle-no-records"),
+    pytest.param(lambda: monte_carlo_sd(None, len),
+                 "^records must be CountRecords, got NoneType$", id="bootstrap-no-records"),
+    pytest.param(lambda: chsh_settings(None),
+                 "^CHSH settings must be four finite angles, got None$", id="chsh-no-angles"),
+    pytest.param(lambda: chsh_settings(5),
+                 "^CHSH settings must be four finite angles, got 5$", id="chsh-int-angles"),
+    pytest.param(lambda: chsh_value(PHI.density(), None),
+                 "^CHSH settings must be four finite angles, got None$",
+                 id="chsh-value-no-angles"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 100.0, -1),
+                 "^seed must be non-negative, got -1$", id="counts-negative-seed"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, seed=-1),
+                 "^seed must be non-negative, got -1$", id="bootstrap-negative-seed"),
+    pytest.param(lambda: chsh_from_counts([CountRecord(s, 0.0) for s in chsh_settings()]),
+                 "^" + re.escape("zero total counts for analyzer pairs [('H', 157.5), "
+                                 "('H', 67.5), ('V', 157.5), ('V', 67.5)]") + "$",
+                 id="chsh-zero-counts-canonical"),
 ])
 def test_analysis_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):
@@ -1218,6 +1284,14 @@ def test_analysis_rejection_messages(call, match):
                  "n_resamples must be an integer, got 2.5", id="float-resamples"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples="3"),
                  "n_resamples must be an integer", id="string-resamples"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 100.0, None),
+                 "^seed must be an integer, got None$", id="counts-no-seed"),
+    pytest.param(lambda: simulate_counts(PHI.density(), tomography_settings(), 100.0, 1.5),
+                 r"^seed must be an integer, got 1\.5$", id="counts-float-seed"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, seed=None),
+                 "^seed must be an integer, got None$", id="bootstrap-no-seed"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, seed="a"),
+                 "^seed must be an integer, got 'a'$", id="bootstrap-string-seed"),
 ])
 def test_analysis_rejects_non_integral_counts_of_steps(call, match):
     with pytest.raises(TypeError, match=match):

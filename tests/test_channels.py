@@ -16,7 +16,6 @@ from dfslink.channels import (
     _basis_change,
     _check_basis,
     _damping_index,
-    _pairs,
     apply_phase_damping,
     collective_dephase,
     correlated_dephase,
@@ -499,8 +498,7 @@ def test_spec_is_immutable():
 def test_gather_index_counts_photons_per_ket():
     # Against the bra |000>, entry (a, 0) reads the pair (how many of the
     # listed photons ket a has in state 1, the first photon's bit).
-    m, m_jitter = _pairs(3)
-    index = _damping_index(3, (0, 2))
+    index, (m, m_jitter) = _damping_index(3, (0, 2))
     assert not index.flags.writeable
     assert m[index[:, 0]].tolist() == [bin(i & 0b101).count("1") for i in range(8)]
     assert m_jitter[index[:, 0]].tolist() == [(i >> 2) & 1 for i in range(8)]
@@ -508,8 +506,7 @@ def test_gather_index_counts_photons_per_ket():
 
 def test_cached_tables_are_read_only():
     w, w_inv = _basis_change(CIRCULAR_BASIS.tobytes(), 3, (2, 0))
-    m, m_jitter = _pairs(3)
-    index = _damping_index(3, (2, 0))
+    index, (m, m_jitter) = _damping_index(3, (2, 0))
     for table in (w, w_inv, m, m_jitter, index, dfs_protocol._sift_index(3, 1, 2)):
         assert not table.flags.writeable
     assert np.array_equal(w_inv, w.conj().T)
@@ -524,7 +521,7 @@ def test_cached_tables_are_read_only():
 def test_fresh_spec_with_known_basis_and_register_misses_no_cache(rng):
     # link_sweep builds new specs every op: the tables must be found by basis
     # value and register shape, not by spec object.
-    caches = (_check_basis, _pairs, _damping_index, _basis_change, dfs_protocol._sift_index)
+    caches = (_check_basis, _damping_index, _basis_change, dfs_protocol._sift_index)
     rho = random_density(8, rng)
 
     def fresh_spec():
