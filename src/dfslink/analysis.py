@@ -17,7 +17,7 @@ import functools
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -88,13 +88,6 @@ _PARITY = (1, -1, -1, 1)
 _CHSH_SIGNS = (1, -1, 1, 1)
 
 
-def _analyzer_ket(a: Analyzer) -> StateVector:
-    if isinstance(a, str):
-        return _NAMED_ANALYZERS[a]
-    theta = math.radians(float(a))
-    return StateVector([math.cos(theta), math.sin(theta)])
-
-
 def _analyzer(a: Analyzer) -> Analyzer:
     """The one identity of an analyzer: a name stays, and an angle is taken
     mod 180 degrees and rounded to 6 digits (the second mod sends angles
@@ -109,26 +102,33 @@ def _analyzer(a: Analyzer) -> Analyzer:
     return {0.0: "H", 90.0: "V", 45.0: "D", 135.0: "A"}.get(angle, angle)
 
 
-@dataclass(frozen=True, eq=True)
+@functools.lru_cache(maxsize=256)
+def _joint_projector(a: Analyzer, b: Analyzer) -> np.ndarray:
+    """The read-only projector of a canonical analyzer pair: pa[i, j] pb[k, l]
+    at [2i+k, 2j+l], the Kronecker product of the two sides' projectors."""
+    pa, pb = (projector(_NAMED_ANALYZERS[x]) if isinstance(x, str)
+              else projector(StateVector([math.cos(math.radians(x)), math.sin(math.radians(x))]))
+              for x in (a, b))
+    return _freeze(np.multiply.outer(pa, pb).transpose(0, 2, 1, 3).reshape(4, 4))
+
+
+@dataclass(frozen=True)
 class MeasSetting:
     """One joint analyzer setting: a polarization name (H/V/D/A/L/R) or a
     linear-polarizer angle in degrees per side, stored in canonical form."""
 
     analyzer_a: Analyzer
     analyzer_b: Analyzer
-    # Built once per setting; read-only, and left out of eq, hash and repr.
-    _projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("analyzer_a", "analyzer_b"):
             object.__setattr__(self, name, _analyzer(getattr(self, name)))
-        object.__setattr__(self, "_projector", _freeze(
-            np.kron(projector(_analyzer_ket(self.analyzer_a)),
-                    projector(_analyzer_ket(self.analyzer_b)))))
 
     def joint_projector(self) -> np.ndarray:
-        """The read-only 4x4 projector onto this setting's joint outcome."""
-        return self._projector
+        """The read-only 4x4 projector onto this setting's joint outcome, built
+        once per canonical pair by ``_joint_projector``: equal settings share
+        one array."""
+        return _joint_projector(self.analyzer_a, self.analyzer_b)
 
 
 @dataclass(frozen=True, eq=False)

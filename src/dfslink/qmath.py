@@ -19,9 +19,11 @@ skips the checks and the copy (``DensityOperator._trusted``), and takes its
 trace only when ``norm`` is first read.  These maps are :func:`tensor`,
 :func:`partial_trace`, ``channels.rotate_basis`` and
 ``dfs_protocol.qpg_sift``; each docstring says why its map keeps positivity
-and trace.  Every module reads and rejects outside input through three
-private helpers here: ``_require`` for a kind, ``_finite`` for an array and
-``_isfinite`` for a scalar.
+and trace.  Outside input is read and rejected through private helpers.
+Every module uses the three here: ``_require`` for a kind, ``_finite`` for
+an array and ``_isfinite`` for a scalar.  ``_qubit_indices`` reads qubit
+indices, ``channels._channel_photons`` a link's photons, and
+``analysis._integer_arg`` and ``_list_of`` an integer and a list of one type.
 """
 
 from __future__ import annotations

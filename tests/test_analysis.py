@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -38,9 +39,14 @@ from dfslink.qmath import (
     StateVector,
     fidelity_with_pure,
     partial_trace,
+    projector,
     tensor,
     trace_distance,
+    KET_D,
+    KET_DBAR,
     KET_H,
+    KET_L,
+    KET_R,
     KET_V,
 )
 
@@ -389,6 +395,43 @@ def test_joint_projector_is_built_once_and_read_only():
     assert MeasSetting("D", 30.0) == setting
     assert hash(MeasSetting("D", 30.0)) == hash(setting)
     assert repr(setting) == "MeasSetting(analyzer_a='D', analyzer_b=30.0)"
+
+
+def kron_projector(setting):
+    # Oracle: the Kronecker product of each side's projector, the named ket's
+    # or that of (cos, sin) of the canonical angle.
+    kets = {"H": KET_H, "V": KET_V, "D": KET_D, "A": KET_DBAR, "L": KET_L, "R": KET_R}
+
+    def side(a):
+        if isinstance(a, str):
+            return projector(kets[a])
+        theta = math.radians(a)
+        return projector(StateVector([math.cos(theta), math.sin(theta)]))
+
+    return np.kron(side(setting.analyzer_a), side(setting.analyzer_b))
+
+
+def test_joint_projector_is_the_kronecker_product_byte_for_byte():
+    names = ["H", "V", "D", "A", "L", "R"]
+    rng = np.random.default_rng(31)
+    # Angles near a name round onto it; the others stay angles.
+    edges = [1e-7, -1e-10, 179.9999996, 45.0000004, 90.0000004, 134.9999999, 22.5, -67.5, 1e-5]
+    angles = [*rng.uniform(-360.0, 360.0, 2000), *edges, *names]
+    pairs = [(a, b) for a in names for b in names]
+    pairs += [(angles[i], angles[j]) for i, j in rng.integers(len(angles), size=(1200, 2))]
+    pairs += [(a, b) for a in edges for b in edges + names]
+    for a, b in pairs:
+        setting = MeasSetting(a, b)
+        oracle = kron_projector(setting)
+        assert setting.joint_projector().tobytes() == oracle.tobytes(), (a, b)
+        assert setting.joint_projector().dtype == oracle.dtype
+
+
+def test_equal_settings_share_one_read_only_projector():
+    proj = MeasSetting(0, 45).joint_projector()
+    assert proj is MeasSetting("H", "D").joint_projector()
+    assert not proj.flags.writeable
+    assert [f.name for f in dataclasses.fields(MeasSetting)] == ["analyzer_a", "analyzer_b"]
 
 
 # ---------------------------------------------------------------------------
@@ -1124,6 +1167,11 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
                  "no complete H/V subset", id="no-scale-no-hv"),
     pytest.param(lambda: tomo_linear([CountRecord(s, 10.0) for s in _NO_HV_SETTINGS]),
                  "no complete H/V subset", id="linear-no-scale-no-hv"),
+    pytest.param(lambda: MeasSetting("X", "H"), "^unknown analyzer label 'X'$",
+                 id="unknown-analyzer-label"),
+    pytest.param(lambda: tomo_linear([CountRecord(s, 0, scale=100.0)
+                                      for s in tomography_settings()]),
+                 "^degenerate counts: zero-trace linear estimate$", id="zero-trace-linear"),
     pytest.param(lambda: concurrence(DensityOperator(np.eye(2) / 2)), "two-qubit",
                  id="concurrence-one-qubit"),
     pytest.param(lambda: concurrence(tomo_linear(exact_records(PHI.density()))), "two-qubit",

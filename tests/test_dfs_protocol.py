@@ -8,6 +8,7 @@ from conftest import haar_state, haar_unitary, random_density
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
 from dfslink.dfs_protocol import (
     ProtocolInput,
+    ProtocolOutcome,
     baseline_direct,
     decode,
     distribute,
@@ -165,6 +166,12 @@ def test_qpg_sift_bad_indices():
 def test_protocol_input_rejection_messages(args, match):
     with pytest.raises(ValueError, match=match):
         ProtocolInput(*args)
+
+
+def test_protocol_outcome_rejects_unmatched_success_probability():
+    branches = {"D": 0.25, "Dbar_discarded": 0.25, "sift_fail": 0.5}
+    with pytest.raises(ValueError, match="^success probability does not match kept branches$"):
+        ProtocolOutcome(prepare_phi_minus().density(), 0.3, branches)
 
 
 @pytest.mark.parametrize("keep", [True, np.True_])

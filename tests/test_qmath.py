@@ -140,6 +140,19 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian([[1, 0], [0, 10**400]])
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: partial_trace(KET_H.density(), []), "^must keep at least one qubit$",
+                 id="partial-trace-keeps-none"),
+    pytest.param(lambda: eig_hermitian(np.ones((2, 3))),
+                 "^eig_hermitian requires a finite square matrix$", id="eig-not-square"),
+    pytest.param(lambda: trace_distance(KET_H.density(), prepare_phi_minus().density()),
+                 "^dimension mismatch$", id="trace-distance-dimensions"),
+])
+def test_qmath_rejection_messages(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("m", ["abc", KET_H.density()], ids=["string", "density-operator"])
 def test_eig_hermitian_rejects_what_is_no_array_with_its_own_message(m):
     with pytest.raises(ValueError, match="^eig_hermitian requires a finite square matrix$"):
