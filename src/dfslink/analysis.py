@@ -194,7 +194,8 @@ def chsh_value(rho: DensityOperator,
     ``DensityOperator`` (anything else is a ``ValueError``), the exact value
     of ``chsh_from_counts``'s estimate: E(ta, tb) is the parity-signed sum of
     tr(rho P) over the projectors P of {ta, ta+90} x {tb, tb+90}, in degrees
-    kept to 1e-6 as ``MeasSetting`` keeps them."""
+    kept to 1e-6 as ``MeasSetting`` keeps them.  S is linear in rho, so a
+    state of trace t has t S(rho / t)."""
     if not isinstance(rho, DensityOperator) or rho.dim != 4:
         raise ValueError("chsh_value requires a two-qubit DensityOperator")
     probs = _probabilities(rho, chsh_settings(settings)).reshape(4, 4)
@@ -291,17 +292,19 @@ def simulate_counts(
     if not (totals_arr > 0).all():
         raise ValueError("totals must be finite and positive")
     probs = np.clip(_probabilities(rho, settings), 0.0, 1.0)
-    if _integer_arg("seed", seed) < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    _integer_arg("seed", seed)
+    return _poisson_records(settings, totals_arr * probs, totals_arr.tolist(), seed,
+                            "totals are too large to draw Poisson counts")
+
+
+def _poisson_records(settings, means, scales, seed, message: str) -> list[CountRecord]:
+    """Records of Poisson(means) counts drawn in order from ``default_rng(seed)``,
+    with exposures ``scales``; a mean beyond NumPy's limit is ``ValueError(message)``."""
     try:
-        counts = rng.poisson(totals_arr * probs)
-    except ValueError:  # NumPy's limit on a Poisson mean
-        raise ValueError("totals are too large to draw Poisson counts") from None
-    return [
-        CountRecord(setting, int(count), scale=float(total))
-        for setting, count, total in zip(settings, counts, totals_arr)
-    ]
+        counts = np.random.default_rng(seed).poisson(means).tolist()
+    except ValueError:
+        raise ValueError(message) from None
+    return [CountRecord(s, n, scale=scale) for s, n, scale in zip(settings, counts, scales)]
 
 
 def _projector_stack(settings: Sequence[MeasSetting]) -> np.ndarray:
@@ -445,9 +448,12 @@ def _gap(weights: np.ndarray, probs: np.ndarray, flat_projs: np.ndarray) -> floa
 
 def _integer_arg(name: str, value) -> int:
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if index < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return index
 
 
 def tomo_mle(
@@ -488,8 +494,7 @@ def tomo_mle(
     fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
     """
-    if _integer_arg("max_iterations", max_iterations) < 0:
-        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    _integer_arg("max_iterations", max_iterations)
     flat_projs, counts, scales, chi = _read_records(records)
 
     # In the eigenbasis of chi, T's zero diagonal entries stay put near a
@@ -548,7 +553,7 @@ def concurrence(rho: DensityOperator) -> float:
     1e-14 lambda_max, the lambdas are the singular values of the symmetric
     matrix tau = W^T (Y(x)Y) W (Wootters, PRL 80, 2245, 1998).  No square
     root of a near-zero number is taken, so rank-deficient states keep full
-    precision.
+    precision.  C is homogeneous: a state of trace t has t C(rho / t).
     """
     if not isinstance(rho, DensityOperator) or rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit DensityOperator")
@@ -568,9 +573,11 @@ def _binary_entropy(x: float) -> float:
 
 
 def entanglement_of_formation(rho: DensityOperator) -> float:
-    """E = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy."""
-    c = concurrence(rho)
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    """E = t h((1 + sqrt(1 - c^2)) / 2), h the binary entropy, c = C / t and
+    t = tr rho: t E_F(rho / t), scaling with the trace as C does; 0 at t = 0."""
+    c, t = concurrence(rho), rho.norm
+    c = c / t if t > 0 else 0.0
+    return t * _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
 def monte_carlo_sd(
@@ -581,36 +588,32 @@ def monte_carlo_sd(
 ) -> float:
     """Parametric-bootstrap standard deviation of a count statistic.
 
-    Each resample redraws every count as Poisson(observed), in record order
-    from one generator seeded with (seed, index), ``seed`` a non-negative
-    integer, recomputes the statistic, and the sample standard deviation is
-    returned.  Resamples on which the statistic raises are excluded and
-    reported via a warning log.
+    Resample i redraws every count as Poisson(observed), seeded with (seed,
+    i) for a non-negative integer ``seed``; the statistic's sample standard
+    deviation over resamples is returned.  Resamples on which it raises or
+    is not finite are excluded, with a warning log.
     """
     if _integer_arg("n_resamples", n_resamples) < 2:
         raise ValueError("need at least two resamples")
     records = _list_of(CountRecord, records, "records")
     if not callable(statistic):
         raise ValueError(f"statistic must be callable, got {type(statistic).__name__}")
-    if _integer_arg("seed", seed) < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _integer_arg("seed", seed)
+    settings, scales = [r.setting for r in records], [r.scale for r in records]
     lams = np.array([float(r.count) for r in records])
     values = []
-    failures = 0
     for i in range(n_resamples):
-        rng = np.random.default_rng((seed, i))
+        resampled = _poisson_records(settings, lams, scales, (seed, i),
+                                     "counts are too large to redraw as Poisson counts")
         try:
-            draws = rng.poisson(lams).tolist()
-        except ValueError:  # NumPy's limit on a Poisson mean
-            raise ValueError("counts are too large to redraw as Poisson counts") from None
-        resampled = [CountRecord(r.setting, n, scale=r.scale) for r, n in zip(records, draws)]
-        try:
-            values.append(float(statistic(resampled)))
+            value = float(statistic(resampled))
         except Exception:  # noqa: BLE001 - failed resamples are excluded by contract
-            failures += 1
-    if failures:
+            continue
+        if math.isfinite(value):
+            values.append(value)
+    if len(values) < n_resamples:
         logger.warning("monte_carlo_sd: excluded %d of %d resamples after statistic failures",
-                       failures, n_resamples)
+                       n_resamples - len(values), n_resamples)
     if len(values) < 2:
         raise ValueError("too few successful resamples to estimate a spread")
     return float(np.std(values, ddof=1))

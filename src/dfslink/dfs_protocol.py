@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "ProtocolInput",
     "ProtocolOutcome",
     "prepare_phi_minus",
-    "prepare_ancilla",
     "encode_append",
     "qpg_sift",
     "decode",
@@ -56,11 +54,6 @@ def prepare_phi_minus() -> StateVector:
     """The maximally entangled pair (|HH> - |VV>)/sqrt(2) on (A, S)."""
     s = 1.0 / np.sqrt(2.0)
     return StateVector([s, 0.0, 0.0, -s])
-
-
-def prepare_ancilla() -> StateVector:
-    """Diagonal ancilla (|H> + |V>)/sqrt(2)."""
-    return KET_D
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +85,7 @@ class ProtocolOutcome:
 
     state: DensityOperator
     success_probability: float
-    branch_probabilities: Dict[str, float]
+    branch_probabilities: dict[str, float]
 
     def __post_init__(self):
         kept = sum(self.branch_probabilities.get(k, 0.0) for k in ("D", "Dbar_corrected"))
@@ -100,7 +93,7 @@ class ProtocolOutcome:
             raise ValueError("success probability does not match kept branches")
 
 
-_ANCILLA = prepare_ancilla().density()
+_ANCILLA = KET_D.density()
 
 
 def encode_append(rho: DensityOperator) -> DensityOperator:

@@ -20,10 +20,10 @@ trace only when ``norm`` is first read.  These maps are :func:`tensor`,
 :func:`partial_trace`, ``channels.rotate_basis`` and
 ``dfs_protocol.qpg_sift``; each docstring says why its map keeps positivity
 and trace.  Outside input is read and rejected through private helpers.
-Every module uses the three here: ``_require`` for a kind, ``_finite`` for
-an array and ``_isfinite`` for a scalar.  ``_qubit_indices`` reads qubit
-indices, ``channels._channel_photons`` a link's photons, and
-``analysis._integer_arg`` and ``_list_of`` an integer and a list of one type.
+Every module uses the three here: ``_require`` for a kind, ``_finite`` for an
+array and ``_isfinite`` for a scalar.  ``_qubit_indices`` reads qubit indices,
+``channels._channel_photons`` a link's photons, ``analysis._integer_arg`` a
+non-negative integer and ``_list_of`` a list of one type.
 """
 
 from __future__ import annotations

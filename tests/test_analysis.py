@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import os
 import re
@@ -872,6 +873,16 @@ def test_eof_endpoints():
     assert entanglement_of_formation(DEPHASED) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1.0, 0.5, 0.25, 0.0])
+def test_eof_scales_with_trace(t):
+    # Like concurrence and chsh_value, E_F of a state of trace t is t times
+    # that of the normalized state: t for the Bell pair.
+    assert abs(entanglement_of_formation(DensityOperator(t * PHI.density().matrix)) - t) < 1e-12
+    mixed = werner(0.8)
+    scaled = entanglement_of_formation(DensityOperator(t * mixed.matrix))
+    assert abs(scaled - t * entanglement_of_formation(mixed)) < 1e-12
+
+
 def test_eof_monotone_in_concurrence():
     values = [entanglement_of_formation(werner(p)) for p in np.linspace(1 / 3, 1, 30)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -918,6 +929,46 @@ def test_monte_carlo_sd_excludes_failures():
 
     sd = monte_carlo_sd(records, flaky, n_resamples=50, seed=5)
     assert sd > 0.0
+
+
+def test_monte_carlo_sd_excludes_non_finite_values(caplog):
+    # A resample whose statistic is nan or +-inf is excluded and counted
+    # like one on which the statistic raises.
+    records = simulate_counts(PHI.density(), tomography_settings(), 1000, seed=4)
+    seen = []
+
+    def partly_finite(recs):
+        seen.append(float(sum(r.count for r in recs)))
+        return (math.nan, math.inf, -math.inf, seen[-1])[len(seen) % 4]
+
+    with caplog.at_level(logging.WARNING, logger="dfslink.analysis"):
+        sd = monte_carlo_sd(records, partly_finite, n_resamples=40, seed=5)
+    finite = [v for k, v in enumerate(seen, start=1) if k % 4 == 3]
+    assert len(finite) == 10
+    assert sd == float(np.std(finite, ddof=1))
+    assert "excluded 30 of 40 resamples" in caplog.text
+
+
+def test_monte_carlo_sd_keeps_missing_scales():
+    # Records without a scale are redrawn without one, so tomography of each
+    # resample takes N from that resample's own H/V subset.
+    drawn = simulate_counts(werner(0.9), tomography_settings(), 1000, seed=8)
+    records = [CountRecord(r.setting, r.count) for r in drawn]
+    seen = []
+
+    def mle_concurrence(recs):
+        seen.append(recs)
+        return concurrence(tomo_mle(recs).rho_hat)
+
+    monte_carlo_sd(records, mle_concurrence, n_resamples=3, seed=9)
+    assert len(seen) == 3
+    for recs in seen:
+        assert all(r.scale is None for r in recs)
+        hv = sum(float(r.count) for r in recs
+                 if r.setting.analyzer_a in "HV" and r.setting.analyzer_b in "HV")
+        scaled = [CountRecord(r.setting, r.count, scale=hv) for r in recs]
+        np.testing.assert_allclose(tomo_mle(recs).rho_hat.matrix,
+                                   tomo_mle(scaled).rho_hat.matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -1222,6 +1273,14 @@ _INT_RECORD = [*exact_records(PHI.density())[:-1], 5]
                  "at least two resamples", id="one-resample"),
     pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), _raise, n_resamples=3),
                  "too few successful resamples", id="statistic-always-raises"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), lambda recs: math.nan,
+                                        n_resamples=3),
+                 "too few successful resamples", id="statistic-always-nan"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), lambda recs: math.inf,
+                                        n_resamples=3),
+                 "too few successful resamples", id="statistic-always-inf"),
+    pytest.param(lambda: monte_carlo_sd(exact_records(PHI.density()), len, n_resamples=-1),
+                 "^n_resamples must be non-negative, got -1$", id="bootstrap-negative-resamples"),
     pytest.param(lambda: tomo_mle(exact_records(PHI.density()), max_iterations=-3),
                  "max_iterations must be non-negative", id="negative-max-iterations"),
     pytest.param(lambda: chsh_value(PHI.density(), (math.nan, 0.0, 0.0, 0.0)),

@@ -7,13 +7,13 @@ import pytest
 from conftest import haar_state, haar_unitary, random_density
 from dfslink.channels import CIRCULAR_BASIS, DephasingSpec, rotate_basis
 from dfslink.dfs_protocol import (
+    _ANCILLA,
     ProtocolInput,
     ProtocolOutcome,
     baseline_direct,
     decode,
     distribute,
     encode_append,
-    prepare_ancilla,
     prepare_phi_minus,
     qpg_sift,
 )
@@ -49,14 +49,14 @@ def test_prepare_phi_minus_chsh():
     assert abs(chsh_value(prepare_phi_minus().density()) - 2 * np.sqrt(2)) < 1e-10
 
 
-def test_prepare_ancilla():
-    anc = prepare_ancilla()
+def test_ancilla():
+    # The appended ancilla is the diagonal state |D><D|.
     s = 1 / np.sqrt(2)
-    np.testing.assert_allclose(anc.amplitudes, [s, s], atol=1e-15)
-    assert abs(np.vdot(anc.amplitudes, KET_DBAR.amplitudes)) < 1e-15
+    np.testing.assert_allclose(_ANCILLA.matrix, np.outer([s, s], [s, s]), atol=1e-15)
+    assert abs(np.vdot(KET_DBAR.amplitudes, _ANCILLA.matrix @ KET_DBAR.amplitudes)) < 1e-15
     from dfslink.channels import collective_dephase
 
-    out = collective_dephase(anc.density(), {0}, UNIFORM)
+    out = collective_dephase(_ANCILLA, {0}, UNIFORM)
     np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
 
 
