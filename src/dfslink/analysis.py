@@ -36,7 +36,6 @@ from .qmath import (
     PAULI_Y,
     DensityOperator,
     StateVector,
-    eig_hermitian,
     projector,
 )
 
@@ -394,43 +393,46 @@ def _quadratic_forms(projs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.real(projs.reshape(-1, 16) @ _PAIRS)).reshape(-1, 16, 16)
 
 
-def _log_likelihood(probs: np.ndarray, counts: np.ndarray, scales: np.ndarray) -> float:
-    """sum_k n_k log(N_k p_k) - N_k p_k; settings with no counts add only
-    -N_k p_k, and a probability that is not positive under counts gives -inf."""
-    seen = counts > 0
-    mu = scales[seen] * probs[seen]
+def _log_likelihood(probs, scales, seen, seen_counts, seen_scales) -> float:
+    """sum_k n_k log(N_k p_k) - N_k p_k, given the fit's constants: the mask
+    ``seen`` of n_k > 0 and the n_k and N_k it selects.  Settings with no
+    counts add only -N_k p_k; a probability that is not positive under
+    counts gives -inf."""
+    mu = seen_scales * probs[seen]
     if not (mu > 0).all():
         return -math.inf
-    return float(counts[seen] @ np.log(mu) - scales @ probs)
+    return float(seen_counts @ np.log(mu) - scales @ probs)
 
 
-def _newton_terms(t: np.ndarray, forms: np.ndarray, counts: np.ndarray,
-                  scales: np.ndarray, qt: np.ndarray):
+def _newton_terms(t: np.ndarray, tt: np.ndarray, forms: np.ndarray, qt: np.ndarray,
+                  weights: np.ndarray, bends: np.ndarray, excess: float):
     """Gradient and Hessian of the log-likelihood along the sphere |t| = 1
-    at a unit vector t, the weights w_k = n_k / p_k - N_k and the p_k, given
-    ``qt`` = forms @ t (the rows Q_k t, which the line search has computed).
+    at a unit vector t, given tt = t t^T, ``qt`` = forms @ t (the rows Q_k
+    t, which the line search has computed), the weights w_k = n_k / q_k -
+    N_k, ``bends`` = n_k / q_k^2 and ``excess`` = n - sum_k N_k q_k.  Here
+    q_k = t^T Q_k t is p_k, n = sum_k n_k, and n_k / q_k is 0 where n_k = 0.
+    ``tomo_mle`` has already formed the weights for its gap, and calls this
+    only for an iterate it steps from.
 
-    With q_k = t^T Q_k t and W = sum_k w_k Q_k, the gradient is 2 P W t and
-    the Hessian P [2 W - 4 sum_k (n_k / q_k^2) (Q_k t)(Q_k t)^T
-    - 2 (n - sum_k N_k q_k) I] P, where P = I - t t^T and n = sum_k n_k.
-    Since rho(t) ignores the scale of t, these are also the derivatives of
-    the log-likelihood of rho(t) for steps orthogonal to t.
+    With W = sum_k w_k Q_k, the gradient is 2 P W t and the Hessian P [2 W
+    - 4 sum_k (n_k / q_k^2) (Q_k t)(Q_k t)^T - 2 (n - sum_k N_k q_k) I] P,
+    where P = I - t t^T.  Since rho(t) ignores the scale of t, these are
+    also the derivatives of the log-likelihood of rho(t) for steps
+    orthogonal to t.
     """
-    probs = qt @ t
-    inverse = np.divide(1.0, probs, out=np.zeros_like(probs), where=counts > 0)
-    weights = counts * inverse - scales
     wt = weights @ qt
     grad = 2.0 * (wt - (t @ wt) * t)
     curvature = (2.0 * (weights @ forms.reshape(-1, 256)).reshape(16, 16)
-                 - 4.0 * (qt.T * (counts * inverse**2)) @ qt)
-    curvature.flat[::17] -= 2.0 * (counts.sum() - scales @ probs)
-    tangent = _IDENTITY_16 - np.outer(t, t)
-    return grad, tangent @ curvature @ tangent, weights, probs
+                 - 4.0 * (qt.T * bends) @ qt)
+    curvature.flat[::17] -= 2.0 * excess
+    tangent = _IDENTITY_16 - tt
+    return grad, tangent @ curvature @ tangent
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The ascent step |H|^-1 grad on t's tangent plane: see ``tomo_mle``."""
-    m = np.outer(t, t) - hess
+def _newton_step(grad: np.ndarray, hess: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """The ascent step |H|^-1 grad on the tangent plane of t, given tt = t
+    t^T: see ``tomo_mle``."""
+    m = tt - hess
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -493,34 +495,51 @@ def tomo_mle(
     of those eigenvalues floored at 1e-6, so every p_k starts positive.  The
     fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
+
+    Each iterate takes its p_k from the line search that accepted it, then
+    forms the weights and ``gap``; only an iterate that steps on forms t t^T,
+    the gradient and Hessian (``_newton_terms``) and the step: the iterate
+    that ends the fit on its gap or at the cap forms none.  The mask n_k > 0, the n_k and N_k it
+    selects and n = sum_k n_k are formed once per fit.
     """
     _integer_arg("max_iterations", max_iterations)
     flat_projs, counts, scales, chi = _read_records(records)
+    seen, total = counts > 0, counts.sum()
+    fixed = (scales, seen, counts[seen], scales[seen])  # _log_likelihood's constants
 
     # In the eigenbasis of chi, T's zero diagonal entries stay put near a
     # rank-deficient optimum; with U = I they drift and Newton turns linear.
     vals, basis = np.linalg.eigh(chi)
-    t = np.r_[np.sqrt(np.maximum(vals, 1e-6)), np.zeros(12)]
-    t = t / math.sqrt(t @ t)
-    # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U); the gap needs no rotation.
-    forms = _quadratic_forms(flat_projs @ np.kron(basis.conj(), basis))
+    t = np.zeros(16)
+    t[:4] = np.sqrt(np.maximum(vals, 1e-6))
+    t /= math.sqrt(t @ t)
+    # vec(U+ P_k U) = vec(P_k) @ (conj(U) (x) U), the Kronecker product as a
+    # broadcast product; the gap needs no rotation.
+    rotation = (basis.conj()[:, None, :, None] * basis[:, None, :]).reshape(16, 16)
+    forms = _quadratic_forms(flat_projs @ rotation)
     qt = forms @ t
-    ll = _log_likelihood(qt @ t, counts, scales)
+    probs = qt @ t
+    ll = _log_likelihood(probs, *fixed)
 
     history = []
     while True:
-        grad, hess, weights, probs = _newton_terms(t, forms, counts, scales, qt)
         history.append(ll)
+        inverse = np.divide(1.0, probs, out=np.zeros_like(probs), where=seen)
+        weights = counts * inverse - scales
         gap = _gap(weights, probs, flat_projs)
         if gap <= _GAP_TOLERANCE or len(history) > max_iterations:
             break
-        step = _newton_step(grad, hess, t)
+        tt = np.outer(t, t)
+        grad, hess = _newton_terms(t, tt, forms, qt, weights, counts * inverse**2,
+                                   total - scales @ probs)
+        step = _newton_step(grad, hess, tt)
         slope = float(grad @ step)
         for _ in range(60):
             trial = t + step
             trial /= math.sqrt(trial @ trial)
             qt = forms @ trial
-            trial_ll = _log_likelihood(qt @ trial, counts, scales)
+            probs = qt @ trial
+            trial_ll = _log_likelihood(probs, *fixed)
             if (trial_ll >= ll + 1e-4 * slope
                     or (slope < 1e-9 and trial_ll > -math.inf)):
                 break
@@ -554,14 +573,17 @@ def concurrence(rho: DensityOperator) -> float:
     matrix tau = W^T (Y(x)Y) W (Wootters, PRL 80, 2245, 1998).  No square
     root of a near-zero number is taken, so rank-deficient states keep full
     precision.  C is homogeneous: a state of trace t has t C(rho / t).
+    A ``DensityOperator`` is finite and Hermitian by construction, so the
+    eigenpairs come from ``np.linalg.eigh`` without ``eig_hermitian``'s
+    re-check, read in descending order as that returns them.
     """
     if not isinstance(rho, DensityOperator) or rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit DensityOperator")
-    vals, vecs = eig_hermitian(rho.matrix)
-    keep = vals > 1e-14 * vals[0]
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    keep = vals > 1e-14 * vals[-1]
     if not keep.any():
         return 0.0
-    w = vecs[:, keep] * np.sqrt(vals[keep])
+    w = vecs[:, keep][:, ::-1] * np.sqrt(vals[keep][::-1])  # eigenvalues descending
     lams = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
     return float(max(0.0, lams[0] - np.sum(lams[1:])))
 

@@ -36,8 +36,10 @@ import dfslink.analysis
 from dfslink.channels import DephasingSpec
 from dfslink.dfs_protocol import ProtocolInput, distribute, prepare_phi_minus
 from dfslink.qmath import (
+    PAULI_Y,
     DensityOperator,
     StateVector,
+    eig_hermitian,
     fidelity_with_pure,
     partial_trace,
     projector,
@@ -498,6 +500,17 @@ def test_setting_model_is_built_once_and_read_only():
     assert _setting_model.cache_info().misses == 1
 
 
+def _terms_at(t, forms, counts, scales):
+    # _newton_terms at a unit vector t, from the inputs tomo_mle forms there.
+    from dfslink.analysis import _newton_terms
+
+    qt = forms @ t
+    probs = qt @ t
+    inverse = np.divide(1.0, probs, out=np.zeros_like(probs), where=counts > 0)
+    return _newton_terms(t, np.outer(t, t), forms, qt, counts * inverse - scales,
+                         counts * inverse**2, counts.sum() - scales @ probs)
+
+
 def _eigh_step(grad, hess):
     # Reference: the step with H's eigenvalues in absolute value, floored at
     # 1e-8 of the largest.
@@ -534,7 +547,7 @@ def test_newton_step_matches_eigh_step(rng, definite):
         hess = -(basis * lams) @ basis.T
         hess = 0.5 * (hess + hess.T)
         grad = basis @ rng.normal(size=15)
-        step = _newton_step(grad, hess, t)
+        step = _newton_step(grad, hess, np.outer(t, t))
         if definite:
             _assert_same_newton_step(step, grad, hess, t)
             assert abs(t @ step) <= 1e-12 * np.linalg.norm(step)  # solved, not eigh
@@ -545,7 +558,7 @@ def test_newton_step_matches_eigh_step(rng, definite):
 def test_newton_step_matches_eigh_step_along_fits(rng):
     # The same comparison at the iterates of real fits, where the Hessian
     # comes from the likelihood and -H is usually definite on the plane.
-    from dfslink.analysis import _newton_step, _newton_terms, _quadratic_forms
+    from dfslink.analysis import _newton_step, _quadratic_forms
 
     cholesky_steps = 0
     for rank in (1, 2, 4):
@@ -564,8 +577,8 @@ def test_newton_step_matches_eigh_step_along_fits(rng):
             below = tm[np.tril_indices(4, -1)]
             t = np.r_[np.real(np.diag(tm)), np.c_[below.real, below.imag].ravel()]
             t /= np.linalg.norm(t)
-            grad, hess, _, _ = _newton_terms(t, forms, counts, scales, forms @ t)
-            step = _newton_step(grad, hess, t)
+            grad, hess = _terms_at(t, forms, counts, scales)
+            step = _newton_step(grad, hess, np.outer(t, t))
             if np.linalg.eigvalsh(np.outer(t, t) - hess)[0] > 0:
                 cholesky_steps += 1
                 _assert_same_newton_step(step, grad, hess, t)
@@ -577,7 +590,7 @@ def test_mle_gradient_matches_finite_differences(rng):
     # which ignores the scale of t.  The evaluator's gradient and Hessian are
     # taken along the sphere |t| = 1, so the finite-difference Hessian is
     # projected onto the tangent plane before comparing.
-    from dfslink.analysis import _log_likelihood, _newton_terms, _quadratic_forms
+    from dfslink.analysis import _log_likelihood, _quadratic_forms
 
     rho = random_density(4, rng)
     records = simulate_counts(rho, tomography_settings(), 2000, seed=7)
@@ -585,14 +598,16 @@ def test_mle_gradient_matches_finite_differences(rng):
     counts = np.array([r.count for r in records], dtype=float)
     forms = _quadratic_forms(projs)
     scales = np.array([r.scale for r in records])
+    seen = counts > 0
 
     def loglik(t):
-        return _log_likelihood((forms @ t) @ t / (t @ t), counts, scales)
+        return _log_likelihood((forms @ t) @ t / (t @ t), scales, seen, counts[seen],
+                               scales[seen])
 
     t0 = rng.normal(size=16)
     t0[:4] = np.abs(t0[:4]) + 0.5
     t0 /= np.linalg.norm(t0)
-    grad, hess, _, _ = _newton_terms(t0, forms, counts, scales, forms @ t0)
+    grad, hess = _terms_at(t0, forms, counts, scales)
     eps = 1e-6
     steps = eps * np.eye(16)
     num_grad = np.array([(loglik(t0 + e) - loglik(t0 - e)) / (2 * eps) for e in steps])
@@ -842,6 +857,28 @@ def test_tomo_mle_iteration_cap_reports_nonconvergence(rng):
     assert not result.converged
 
 
+@pytest.mark.parametrize("max_iterations", [10_000, 2, 0])
+def test_tomo_mle_forms_derivatives_only_for_a_step(monkeypatch, max_iterations):
+    # The gap is checked before the gradient and Hessian are formed, so the
+    # iterate that stops a fit, on its certificate or at the cap, forms
+    # none: one _newton_terms call per Newton step taken.
+    calls = []
+    newton_terms = dfslink.analysis._newton_terms
+
+    def counted(*args):
+        calls.append(None)
+        return newton_terms(*args)
+
+    monkeypatch.setattr(dfslink.analysis, "_newton_terms", counted)
+    for seed, (rank, total) in enumerate([(1, 1000), (2, 50), (4, 3), (4, 1e5), (2, 1000)]):
+        rho = random_density(4, np.random.default_rng(seed), rank=rank)
+        calls.clear()
+        result = tomo_mle(simulate_counts(rho, tomography_settings(), total, seed=seed),
+                          max_iterations=max_iterations)
+        assert result.converged or result.iterations == max_iterations
+        assert len(calls) == result.iterations
+
+
 # ---------------------------------------------------------------------------
 # Entanglement measures
 
@@ -866,6 +903,32 @@ def test_concurrence_local_unitary_invariance(rng):
         u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
         rotated = DensityOperator(u @ rho.matrix @ u.conj().T)
         assert abs(concurrence(rho) - concurrence(rotated)) < 1e-10
+
+
+def _concurrence_by_eig_hermitian(rho):
+    # Oracle: the form that takes its eigenpairs, descending, from the
+    # checked eig_hermitian.
+    vals, vecs = eig_hermitian(rho.matrix)
+    keep = vals > 1e-14 * vals[0]
+    if not keep.any():
+        return 0.0
+    w = vecs[:, keep] * np.sqrt(vals[keep])
+    lams = np.linalg.svd(w.T @ np.kron(PAULI_Y, PAULI_Y) @ w, compute_uv=False)
+    return float(max(0.0, lams[0] - np.sum(lams[1:])))
+
+
+def test_concurrence_matches_eig_hermitian_form_bit_for_bit(rng):
+    # concurrence reads np.linalg.eigh of an already checked DensityOperator
+    # in reverse; that must change no bit, also where eigenvalues tie.
+    states = [DensityOperator(np.eye(4) / 4), DEPHASED, DensityOperator(np.zeros((4, 4))),
+              DensityOperator(np.diag([0.25, 0.25, 0.5, 0.0]))]
+    states += [werner(p) for p in np.linspace(0.0, 1.0, 101)]
+    for rank in (1, 2, 3, 4):
+        for i in range(100):
+            rho = random_density(4, rng, rank=rank)
+            states.append(DensityOperator(0.5 * rho.matrix) if i % 4 == 0 else rho)
+    for rho in states:
+        assert concurrence(rho) == _concurrence_by_eig_hermitian(rho)
 
 
 def test_eof_endpoints():
