@@ -411,8 +411,6 @@ def _newton_terms(t: np.ndarray, tt: np.ndarray, forms: np.ndarray, qt: np.ndarr
     t, which the line search has computed), the weights w_k = n_k / q_k -
     N_k, ``bends`` = n_k / q_k^2 and ``excess`` = n - sum_k N_k q_k.  Here
     q_k = t^T Q_k t is p_k, n = sum_k n_k, and n_k / q_k is 0 where n_k = 0.
-    ``tomo_mle`` has already formed the weights for its gap, and calls this
-    only for an iterate it steps from.
 
     With W = sum_k w_k Q_k, the gradient is 2 P W t and the Hessian P [2 W
     - 4 sum_k (n_k / q_k^2) (Q_k t)(Q_k t)^T - 2 (n - sum_k N_k q_k) I] P,
@@ -495,12 +493,6 @@ def tomo_mle(
     of those eigenvalues floored at 1e-6, so every p_k starts positive.  The
     fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
     log-likelihood at the start, then at each iterate.
-
-    Each iterate takes its p_k from the line search that accepted it, then
-    forms the weights and ``gap``; only an iterate that steps on forms t t^T,
-    the gradient and Hessian (``_newton_terms``) and the step: the iterate
-    that ends the fit on its gap or at the cap forms none.  The mask n_k > 0, the n_k and N_k it
-    selects and n = sum_k n_k are formed once per fit.
     """
     _integer_arg("max_iterations", max_iterations)
     flat_projs, counts, scales, chi = _read_records(records)
@@ -573,9 +565,6 @@ def concurrence(rho: DensityOperator) -> float:
     matrix tau = W^T (Y(x)Y) W (Wootters, PRL 80, 2245, 1998).  No square
     root of a near-zero number is taken, so rank-deficient states keep full
     precision.  C is homogeneous: a state of trace t has t C(rho / t).
-    A ``DensityOperator`` is finite and Hermitian by construction, so the
-    eigenpairs come from ``np.linalg.eigh`` without ``eig_hermitian``'s
-    re-check, read in descending order as that returns them.
     """
     if not isinstance(rho, DensityOperator) or rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit DensityOperator")

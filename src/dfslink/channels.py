@@ -7,9 +7,9 @@ within the phase correlation time pick up a *common* random phase
 One kernel, :func:`rotate_basis`, computes every map here analytically: in
 the spec's basis, an off-diagonal element whose channel photons differ by m
 excitations of basis state 1 is multiplied by the characteristic function
-E[exp(i m phi)] of the phase distribution.  :func:`collective_dephase`,
-:func:`correlated_dephase` and :func:`apply_phase_damping` check the
-preconditions of their H/V case and call it.  A Monte-Carlo phase-sampling
+E[exp(i m phi)] of the phase distribution.  :func:`collective_dephase` and
+:func:`correlated_dephase` add one precondition each and call it, as
+:func:`apply_phase_damping` does with none.  A Monte-Carlo phase-sampling
 route exists only as a test oracle.
 
 A spec is checked where it is built, and every entry point checks the
@@ -207,31 +207,24 @@ def _basis_change(basis: bytes, n: int, photons: tuple[int, ...]) -> tuple[np.nd
     return _freeze(w), _freeze(w.conj().T)
 
 
-def _check_stage(spec, rho, hv_only: bool = False) -> None:
-    """The argument kinds every entry point checks; ``hv_only`` adds H/V."""
+def _check_stage(spec, rho) -> None:
+    """The argument kinds every entry point checks."""
     _require(rho, DensityOperator, "state")
     _require(spec, DephasingSpec, "spec")
-    if hv_only and not spec.is_computational():
-        raise ValueError("non-computational dephasing basis: route through rotate_basis")
 
 
 def apply_phase_damping(rho: DensityOperator, photons, spec: DephasingSpec) -> DensityOperator:
-    """:func:`rotate_basis` for an H/V spec: the phase damping alone.
-
-    Kept under this name for ``benchmarks/tracer.py``, which traces it.
-    """
-    _check_stage(spec, rho, hv_only=True)
+    """:func:`rotate_basis`, kept under this name for ``benchmarks/tracer.py``."""
     return rotate_basis(spec, rho, photons)
 
 
 def collective_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> DensityOperator:
     """All channel photons receive one common random phase.
 
-    :func:`rotate_basis` for a computational-basis spec (use it directly for
-    other bases) with ``spec.delta_sigma == 0`` (use
+    :func:`rotate_basis` with ``spec.delta_sigma == 0`` (use
     :func:`correlated_dephase` for residual jitter).
     """
-    _check_stage(spec, rho, hv_only=True)
+    _check_stage(spec, rho)
     if spec.delta_sigma != 0.0:
         raise ValueError("delta_sigma != 0: route through correlated_dephase")
     return rotate_basis(spec, rho, photons)
@@ -245,9 +238,9 @@ def correlated_dephase(rho: DensityOperator, photons, spec: DephasingSpec) -> De
     spread ``delta_sigma``.  Each off-diagonal picks up
     E[exp(i(m_s phi_s + m_s' phi_s'))], which factorizes into the common
     characteristic function at m_s + m_s' and a gaussian damping at m_s:
-    :func:`rotate_basis` for an H/V spec and exactly two photons.
+    :func:`rotate_basis` for exactly two photons.
     """
-    _check_stage(spec, rho, hv_only=True)
+    _check_stage(spec, rho)
     pair = _channel_photons(photons, rho.num_qubits, spec.delta_sigma != 0.0)
     if len(pair) != 2:
         raise ValueError("correlated_dephase requires exactly two channel photons")

@@ -81,16 +81,16 @@ class ProtocolInput:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolOutcome:
-    """Post-selected output state plus the probability bookkeeping."""
+    """Post-selected output state plus the probability bookkeeping; the
+    success probability is the sum of the kept branches, ``D`` and
+    ``Dbar_corrected``."""
 
     state: DensityOperator
-    success_probability: float
     branch_probabilities: dict[str, float]
 
-    def __post_init__(self):
-        kept = sum(self.branch_probabilities.get(k, 0.0) for k in ("D", "Dbar_corrected"))
-        if abs(kept - self.success_probability) > 1e-10:
-            raise ValueError("success probability does not match kept branches")
+    @property
+    def success_probability(self) -> float:
+        return sum(self.branch_probabilities.get(k, 0.0) for k in ("D", "Dbar_corrected"))
 
 
 _ANCILLA = KET_D.density()
@@ -157,9 +157,8 @@ def decode(rho: DensityOperator, keep_dbar: bool = False) -> ProtocolOutcome:
     p_branch = 0.5 * rho.norm
     dbar = "Dbar_corrected" if keep_dbar else "Dbar_discarded"
     branches = {"D": p_branch, dbar: p_branch, "sift_fail": 1.0 - rho.norm}
-    success = rho.norm if keep_dbar else p_branch
-    state = rho.normalized() if success > 0.0 else DensityOperator(np.zeros_like(rho.matrix))
-    return ProtocolOutcome(state, success, branches)
+    state = rho.normalized() if rho.norm > 0.0 else DensityOperator(np.zeros_like(rho.matrix))
+    return ProtocolOutcome(state, branches)
 
 
 def distribute(inp: ProtocolInput) -> ProtocolOutcome:

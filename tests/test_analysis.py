@@ -994,6 +994,40 @@ def test_monte_carlo_sd_excludes_failures():
     assert sd > 0.0
 
 
+def test_log_likelihood_is_minus_inf_at_a_seen_zero_probability():
+    from dfslink.analysis import _log_likelihood
+
+    probs, scales = np.array([0.0, 0.5]), np.array([10.0, 10.0])
+    seen = np.array([True, True])
+    assert _log_likelihood(probs, scales, seen, np.array([3.0, 2.0]), scales) == -math.inf
+    # Without counts the same zero adds only -N_k p_k = 0.
+    seen = np.array([False, True])
+    value = _log_likelihood(probs, scales, seen, np.array([2.0]), scales[seen])
+    assert value == pytest.approx(2.0 * math.log(5.0) - 5.0, rel=1e-15)
+
+
+def test_tomo_mle_stops_uncertified_when_no_step_raises_the_likelihood(monkeypatch, caplog):
+    # Every trial after the start reads -inf, so the line search halves the
+    # first step 60 times in vain and the fit stops at its start.
+    records = simulate_counts(PHI.density(), tomography_settings(), 1000, seed=3)
+    real = dfslink.analysis._log_likelihood
+    values = []
+
+    def start_only(*args):
+        values.append(real(*args) if not values else -math.inf)
+        return values[-1]
+
+    monkeypatch.setattr(dfslink.analysis, "_log_likelihood", start_only)
+    with caplog.at_level(logging.WARNING, logger="dfslink.analysis"):
+        fit = tomo_mle(records)
+    assert len(values) == 61
+    assert not fit.converged and fit.gap > 1e-6
+    assert fit.iterations == 0
+    assert fit.log_likelihood_history == (values[0],) and fit.log_likelihood == values[0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"tomography MLE stopped after 0 iterations with gap {fit.gap:.3g}"]
+
+
 def test_monte_carlo_sd_excludes_non_finite_values(caplog):
     # A resample whose statistic is nan or +-inf is excluded and counted
     # like one on which the statistic raises.

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import haar_state, random_density
+from conftest import haar_state, haar_unitary, random_density
 from dfslink import dfs_protocol
 from dfslink.channels import (
     CIRCULAR_BASIS,
@@ -271,6 +271,25 @@ def test_rotate_basis_identity_basis_matches_plain_call(rng):
             b = rotate_basis(rotated, rho, photons)
             assert np.max(np.abs(a.matrix - b.matrix)) < 1e-14
             assert apply_phase_damping(rho, photons, hv).matrix.tobytes() == a.matrix.tobytes()
+    # The three names accept every basis, and each is rotate_basis bit for bit
+    # in the circular, an SU(2) and the phased diagonal basis; collective
+    # dephasing alone refuses jitter.
+    u = haar_unitary(2, rng)
+    for basis in (CIRCULAR_BASIS, u / np.sqrt(np.linalg.det(u)), phased):
+        for delta in (0.0, 0.7):
+            spec = DephasingSpec(basis=basis, mean_phase=0.4, per_photon_sigma=0.3,
+                                 delta_sigma=delta, distribution="gaussian")
+            assert not spec.is_computational()
+            rho = random_density(8, rng)
+            for photons in ([2, 0], [1], [0, 1, 2]):
+                if delta and len(photons) > 2:
+                    continue
+                expected = rotate_basis(spec, rho, photons).matrix.tobytes()
+                assert apply_phase_damping(rho, photons, spec).matrix.tobytes() == expected
+                if len(photons) == 2:
+                    assert correlated_dephase(rho, photons, spec).matrix.tobytes() == expected
+                if not delta:
+                    assert collective_dephase(rho, photons, spec).matrix.tobytes() == expected
 
 
 @pytest.mark.parametrize(
@@ -452,15 +471,6 @@ def test_spec_rejects_an_int_beyond_the_float_range():
                  id="negative-photon"),
     pytest.param(lambda: rotate_basis(UNIFORM, tensor(KET_D.density(), KET_D.density()),
                                       [1.9]), "must be integers", id="fractional-photon"),
-    pytest.param(lambda: collective_dephase(KET_D.density(), (0,),
-                                            DephasingSpec(basis=CIRCULAR_BASIS)),
-                 "rotate_basis", id="collective-circular"),
-    pytest.param(lambda: correlated_dephase(tensor(KET_D.density(), KET_D.density()),
-                                            (0, 1), DephasingSpec(basis=CIRCULAR_BASIS)),
-                 "rotate_basis", id="correlated-circular"),
-    pytest.param(lambda: apply_phase_damping(KET_D.density(), (0,),
-                                             DephasingSpec(basis=CIRCULAR_BASIS)),
-                 "rotate_basis", id="apply-phase-damping-circular"),
     pytest.param(lambda: rotate_basis(UNIFORM, np.eye(4) / 4, [0]),
                  "state must be a DensityOperator", id="rotate-basis-ndarray-state"),
     pytest.param(lambda: rotate_basis(None, KET_D.density(), [0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -168,10 +169,14 @@ def test_protocol_input_rejection_messages(args, match):
         ProtocolInput(*args)
 
 
-def test_protocol_outcome_rejects_unmatched_success_probability():
-    branches = {"D": 0.25, "Dbar_discarded": 0.25, "sift_fail": 0.5}
-    with pytest.raises(ValueError, match="^success probability does not match kept branches$"):
-        ProtocolOutcome(prepare_phi_minus().density(), 0.3, branches)
+def test_protocol_outcome_success_is_its_kept_branches():
+    assert [f.name for f in dataclasses.fields(ProtocolOutcome)] == [
+        "state", "branch_probabilities"]
+    state = prepare_phi_minus().density()
+    discarded = ProtocolOutcome(state, {"D": 0.25, "Dbar_discarded": 0.25, "sift_fail": 0.5})
+    corrected = ProtocolOutcome(state, {"D": 0.25, "Dbar_corrected": 0.25, "sift_fail": 0.5})
+    assert discarded.success_probability == 0.25
+    assert corrected.success_probability == 0.5
 
 
 @pytest.mark.parametrize("keep", [True, np.True_])

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_fidelity_examples():
     # 2x2 analytic expansion: <phi|rho|phi> = (1/2)(1/2) + (1/2)(1/2) = 1/2.
     assert abs(fidelity_with_pure(mixed, phi) - 0.5) < 1e-12
     assert abs(fidelity_with_pure(DensityOperator(np.eye(4) / 4), phi) - 0.25) < 1e-12
+
+
+def test_fidelity_rejects_a_complex_value():
+    # Anti-Hermitian by 0.9e-12, within the state check's 1e-12, but
+    # <++|rho|++> has imaginary part 3 x 0.45e-12 = 1.35e-12.
+    rho = DensityOperator(np.eye(4) / 4 + 0.45e-12j * (np.ones((4, 4)) - np.eye(4)))
+    message = "fidelity came out complex: (0.2499999999999999+1.3499999999999995e-12j)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fidelity_with_pure(rho, tensor(KET_D, KET_D))
 
 
 def test_fidelity_dim_mismatch():
