@@ -2,13 +2,15 @@
 
 Covers the Bell-correlation test with Poisson error propagation, coincidence
 count generation, two-qubit state tomography (linear inversion plus maximum
-likelihood by Newton's method on a Cholesky parametrization in the eigenbasis
-of the linear estimate, stopped on a certified bound on the likelihood still
-to gain, from projectors cached once per setting set), Wootters concurrence
-and entanglement of formation, parametric-bootstrap error bars, and the
-path-delay interference model with its Gaussian fit by variable projection
-(background and visibility in closed form, coherence length searched over
-[span/50, 10 span]; not ``converged`` at an end of that range).
+likelihood by Newton's method on a Cholesky parametrization, started in the
+eigenbasis of the likelihood's stationary point on the trace-one plane, which
+for 16 settings is the maximum before positivity, and stopped on a certified
+bound on the likelihood still to gain, from projectors cached once per
+setting set), Wootters concurrence and entanglement of formation,
+parametric-bootstrap error bars, and the path-delay interference model with
+its Gaussian fit by variable projection (background and visibility in closed
+form, coherence length searched over [span/50, 10 span]; not ``converged`` at
+an end of that range).
 """
 
 from __future__ import annotations
@@ -317,14 +319,18 @@ def _probabilities(rho: DensityOperator, settings: Sequence[MeasSetting]) -> np.
 
 @functools.lru_cache(maxsize=8)
 def _setting_model(settings: tuple):
-    """Read-only flat projectors (K, 16) and design pseudo-inverse (16, K),
-    shared by every fit; the rank is checked at ``matrix_rank``'s threshold."""
+    """Read-only flat projectors (K, 16), design pseudo-inverse (16, K) and
+    its trace row c (K,), so that tr(pinv @ p) = c . p, shared by every fit;
+    the rank is checked at ``matrix_rank``'s threshold.  Entries of c below
+    1e-12 of the largest are rounding of an exact 0 and are set to 0."""
     projs = _projector_stack(settings)
     u, s, vh = np.linalg.svd(projs.transpose(0, 2, 1).reshape(-1, 16), full_matrices=False)
     if s.size < 16 or s[-1] <= np.finfo(float).eps * max(len(settings), 16) * s[0]:
         raise ValueError("settings are not informationally complete")
     pinv = (vh.conj().T / s) @ u.conj().T
-    return _freeze(projs.reshape(-1, 16)), _freeze(pinv)
+    trace_row = np.real(pinv[::5].sum(axis=0))
+    trace_row[np.abs(trace_row) <= 1e-12 * np.abs(trace_row).max()] = 0.0
+    return _freeze(projs.reshape(-1, 16)), _freeze(pinv), _freeze(trace_row)
 
 
 def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
@@ -343,14 +349,16 @@ def _record_scales(records: Sequence[CountRecord]) -> np.ndarray:
 
 
 def _read_records(records: Sequence[CountRecord]):
-    """The records' flat projectors, counts n and scales N, and the
-    Hermitian part of the linear inversion pinv @ (n / N) as a 4x4 matrix."""
+    """The records' setting model (see ``_setting_model``), counts n and scales N."""
     records = _list_of(CountRecord, records, "records")
-    flat_projs, pinv = _setting_model(tuple(r.setting for r in records))
-    counts = np.array([float(r.count) for r in records])
-    scales = _record_scales(records)
-    chi = (pinv @ (counts / scales)).reshape(4, 4)
-    return flat_projs, counts, scales, 0.5 * (chi + chi.conj().T)
+    model = _setting_model(tuple(r.setting for r in records))
+    return model, np.array([float(r.count) for r in records]), _record_scales(records)
+
+
+def _inversion(pinv: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The Hermitian part of the linear inversion pinv @ probs, as a 4x4 matrix."""
+    chi = (pinv @ probs).reshape(4, 4)
+    return 0.5 * (chi + chi.conj().T)
 
 
 def tomo_linear(records: Sequence[CountRecord]) -> np.ndarray:
@@ -359,7 +367,8 @@ def tomo_linear(records: Sequence[CountRecord]) -> np.ndarray:
     Returns a read-only, complex, Hermitian, trace-one 4x4 array.  Positivity
     is not guaranteed, so it is not a ``DensityOperator``.
     """
-    chi = _read_records(records)[-1]
+    (_, pinv, _), counts, scales = _read_records(records)
+    chi = _inversion(pinv, counts / scales)
     tr = float(np.real(np.trace(chi)))
     if abs(tr) < 1e-12:
         raise ValueError("degenerate counts: zero-trace linear estimate")
@@ -446,6 +455,47 @@ def _gap(weights: np.ndarray, probs: np.ndarray, flat_projs: np.ndarray) -> floa
     return float(np.linalg.eigvalsh(omega)[-1] - weights @ probs)
 
 
+def _stationary_probabilities(trace_row: np.ndarray, counts: np.ndarray,
+                              scales: np.ndarray) -> np.ndarray:
+    """p_k = n_k / (N_k + lambda c_k), with c the trace row and lambda the
+    root of h(lambda) = sum_k c_k n_k / (N_k + lambda c_k) = 1, so that the
+    inversion of p has trace c . p = 1: the stationary point of the
+    likelihood on the trace-one plane (see ``tomo_mle``).
+
+    Only the settings with c_k n_k != 0 enter h, which falls strictly on
+    the interval where each of their N_k + lambda c_k is positive; the root
+    is also below sum n_k over c_k > 0, where h < 1.  Where no setting with
+    c_k > 0 has counts, h < 1 everywhere and lambda = 0.  Each step is
+    Newton's step on 1 / h = 1, exact where every N_k / c_k is equal (as
+    for equal N on ``tomography_settings()``); a step that leaves the
+    bracket of the root is replaced by bisection.  The sums run on Python
+    floats: only the few settings with c_k != 0 enter them."""
+    probs = counts / scales
+    live = np.flatnonzero(trace_row * counts)
+    rows = list(zip(trace_row[live].tolist(), counts[live].tolist(), scales[live].tolist()))
+    lo = max((-s / c for c, _, s in rows if c > 0), default=None)
+    if lo is None:
+        return probs
+    hi = min([-s / c for c, _, s in rows if c < 0] + [sum(n for c, n, _ in rows if c > 0)])
+    lam = 0.0
+    for _ in range(200):
+        h = slope = 0.0  # h(lambda) and -h'(lambda)
+        for c, n, s in rows:
+            ratio = c / (s + lam * c)
+            h += n * ratio
+            slope += n * ratio * ratio
+        if abs(h - 1.0) <= 1e-12:
+            break
+        if h > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        lam_next = lam + (h - 1.0) * h / slope
+        lam = lam_next if lo < lam_next < hi else 0.5 * (lo + hi)
+    probs[live] = [n / (s + lam * c) for c, n, s in rows]
+    return probs
+
+
 def _integer_arg(name: str, value) -> int:
     try:
         index = operator.index(value)
@@ -488,20 +538,33 @@ def tomo_mle(
     log-likelihood exceeds this one's plus ``gap`` by more than the two
     fits' bounds; it can exceed it by an ulp or two.
 
-    U holds the eigenvectors, eigenvalues ascending, of the linear inversion
-    of n / N before its trace division, and T starts diagonal at the roots
-    of those eigenvalues floored at 1e-6, so every p_k starts positive.  The
-    fit runs on U+ P_k U.  ``log_likelihood_history`` holds the
-    log-likelihood at the start, then at each iterate.
+    The fit starts at the likelihood's stationary point on the trace-one
+    plane (James et al., PRA 64, 052312 (2001)): the linear inversion of p_k
+    = n_k / (N_k + lambda c_k), with c the trace row of the design's
+    pseudo-inverse (tr rho = c . p; for ``tomography_settings()`` c is 1 on
+    the four H/V settings and 0 elsewhere) and lambda the root of c . p = 1.
+    With equal N, that divides the H/V counts by their own total and keeps
+    n / N elsewhere.  For exactly 16 informationally complete settings and
+    every n_k > 0, this point is the maximum over all Hermitian trace-one
+    matrices: there Omega = lambda sum_k c_k P_k = lambda I, so its gap is 0,
+    and where it is positive semidefinite the fit certifies it with no Newton
+    step.  Otherwise it is a trace-one start.  Where no setting with c_k > 0
+    has counts, c . p = 1 has no root and lambda = 0, the inversion of n / N.
+    U holds the eigenvectors, eigenvalues ascending, of that inversion, and
+    T starts diagonal at the roots of those eigenvalues floored at 1e-6, so
+    every p_k starts positive.  The fit runs on U+ P_k U.
+    ``log_likelihood_history`` holds the log-likelihood at the start, then at
+    each iterate.
     """
     _integer_arg("max_iterations", max_iterations)
-    flat_projs, counts, scales, chi = _read_records(records)
+    (flat_projs, pinv, trace_row), counts, scales = _read_records(records)
     seen, total = counts > 0, counts.sum()
     fixed = (scales, seen, counts[seen], scales[seen])  # _log_likelihood's constants
 
-    # In the eigenbasis of chi, T's zero diagonal entries stay put near a
-    # rank-deficient optimum; with U = I they drift and Newton turns linear.
-    vals, basis = np.linalg.eigh(chi)
+    # In the eigenbasis of the start, T's zero diagonal entries stay put near
+    # a rank-deficient optimum; with U = I they drift and Newton turns linear.
+    start = _inversion(pinv, _stationary_probabilities(trace_row, counts, scales))
+    vals, basis = np.linalg.eigh(start)
     t = np.zeros(16)
     t[:4] = np.sqrt(np.maximum(vals, 1e-6))
     t /= math.sqrt(t @ t)

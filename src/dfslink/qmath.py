@@ -309,6 +309,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 
 def projector(psi: StateVector) -> np.ndarray:
+    _require(psi, StateVector, "state")
     return np.outer(psi.amplitudes, psi.amplitudes.conj())
 
 

@@ -33,7 +33,7 @@ from dfslink.analysis import (
     transform_limited_fwhm,
 )
 import dfslink.analysis
-from dfslink.channels import DephasingSpec
+from dfslink.channels import CIRCULAR_BASIS, DephasingSpec
 from dfslink.dfs_protocol import ProtocolInput, distribute, prepare_phi_minus
 from dfslink.qmath import (
     PAULI_Y,
@@ -649,38 +649,91 @@ def test_tomo_mle_monotone_likelihood(rng):
     assert hist[-1] >= hist[0] - 1e-9
 
 
-def _hv_frequency_total(records):
-    return sum(r.count / r.scale for r in records
+def _hv_count_total(records):
+    return sum(r.count for r in records
                if {r.setting.analyzer_a, r.setting.analyzer_b} <= {"H", "V"})
 
 
+def _stationary_frequencies(records, trace_row):
+    # Oracle: p_k = n_k / (N_k + lam c_k) with lam the root of sum_k c_k p_k
+    # = 1, bisected between the lower end of the lams where every N_k + lam
+    # c_k with c_k n_k != 0 is positive and the first of 1, 2, 4, ... where
+    # the sum is below 1 (or the upper end of those lams); lam = 0 where no
+    # setting with c_k > 0 has counts and so no root exists.
+    counts = np.array([float(r.count) for r in records])
+    scales = np.array([r.scale for r in records])
+    probs = counts / scales
+    live = (trace_row != 0) & (counts > 0)
+    c, n, big = trace_row[live], counts[live], scales[live]
+    if not (c > 0).any():
+        return probs
+    lo = max(-big[c > 0] / c[c > 0])
+    hi = min(big[c < 0] / -c[c < 0], default=math.inf)
+
+    def excess(lam):
+        return float(np.sum(c * n / (big + lam * c))) - 1.0
+
+    upper = 1.0
+    while upper < hi and excess(upper) > 0:
+        upper *= 2.0
+    hi = min(hi, upper)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    probs[live] = n / (big + 0.5 * (lo + hi) * c)
+    return probs
+
+
+def _floored_inversion(settings, probs):
+    # Oracle: the inversion of probs by lstsq, with its eigenvalues floored
+    # at 1e-6, over their sum.
+    design = np.array([s.joint_projector().T.reshape(16) for s in settings])
+    chi = np.linalg.lstsq(design, probs.astype(complex), rcond=None)[0].reshape(4, 4)
+    vals, vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))
+    rho = (vecs * np.maximum(vals, 1e-6)) @ vecs.conj().T
+    return rho / np.trace(rho).real
+
+
+# tr(rho) = sum_k c_k p_k over tomography_settings(): c is 1 on the four H/V
+# settings, since P_HH + P_HV + P_VH + P_VV = I, and 0 elsewhere.
+_HV_TRACE_ROW = np.array([float({s.analyzer_a, s.analyzer_b} <= {"H", "V"})
+                          for s in tomography_settings()])
+
+
 def test_tomo_mle_default_start_is_projected_linear_estimate(rng):
-    # Oracle: the inversion of n / N is tomo_linear times its trace, the sum
-    # of the H/V frequencies; its eigenvalues floored at 1e-6, over their
-    # sum, and its Poisson log-likelihood setting by setting.
+    # Oracle: the start is the inversion of the likelihood's stationary point
+    # on the trace-one plane, p_k = n_k / (N_k + lam c_k): for equal N the
+    # H/V counts are divided by their own total and every other setting
+    # keeps n / N; for unequal N, lam is the bisected root.  Its eigenvalues
+    # are floored at 1e-6, over their sum, and its Poisson log-likelihood is
+    # summed setting by setting.
     rho = random_density(4, rng, rank=2)
-    records = simulate_counts(rho, tomography_settings(), 1000, seed=21)
-    vals, vecs = np.linalg.eigh(tomo_linear(records))
-    vals = _hv_frequency_total(records) * vals
-    rho_lin = (vecs * np.maximum(vals, 1e-6)) @ vecs.conj().T
-    rho_lin /= np.trace(rho_lin).real
-    start = tomo_mle(records, max_iterations=0)
-    assert start.iterations == 0
-    np.testing.assert_allclose(start.rho_hat.matrix, rho_lin, rtol=0, atol=1e-12)
-    direct = 0.0
-    for r in records:
-        mu = r.scale * float(np.real(np.trace(rho_lin @ r.setting.joint_projector())))
-        direct += r.count * math.log(mu) - mu
-    full = tomo_mle(records)
-    assert full.log_likelihood_history[0] == start.log_likelihood
-    assert abs(full.log_likelihood_history[0] - direct) <= 1e-9 * abs(direct)
+    for scales in (1000.0, np.linspace(500.0, 2000.0, 16)):
+        records = simulate_counts(rho, tomography_settings(), scales, seed=21)
+        probs = _stationary_frequencies(records, _HV_TRACE_ROW)
+        if np.ndim(scales) == 0:
+            closed = np.array([r.count / r.scale for r in records])
+            closed[_HV_TRACE_ROW == 1] *= scales / _hv_count_total(records)
+            np.testing.assert_allclose(probs, closed, rtol=1e-12, atol=0)
+        rho_start = _floored_inversion(tomography_settings(), probs)
+        start = tomo_mle(records, max_iterations=0)
+        assert start.iterations == 0
+        np.testing.assert_allclose(start.rho_hat.matrix, rho_start, rtol=0, atol=1e-12)
+        direct = 0.0
+        for r in records:
+            mu = r.scale * float(np.real(np.trace(rho_start @ r.setting.joint_projector())))
+            direct += r.count * math.log(mu) - mu
+        full = tomo_mle(records)
+        assert full.log_likelihood_history[0] == start.log_likelihood
+        assert abs(full.log_likelihood_history[0] - direct) <= 1e-9 * abs(direct)
 
 
 def test_tomo_mle_start_gives_every_setting_positive_probability():
-    # Oracle: the start is the eigenvalues of the inversion of n / N (by
-    # lstsq) floored at 1e-6 over their sum s, so every unit-trace projector
-    # gets p_k >= 1e-6 / s (Weyl), even where the records have zero-count
-    # settings, a few counts in all or no H/V count.
+    # Oracle: the start is the eigenvalues of the inversion (by lstsq) of the
+    # stationary frequencies n_k / (N_k + lam c_k), floored at 1e-6 over
+    # their sum s, so every unit-trace projector gets p_k >= 1e-6 / s
+    # (Weyl), even where the records have zero-count settings, a few counts
+    # in all or no H/V count.
     cases = [exact_records(PHI.density()), exact_records(DEPHASED)]
     cases += [simulate_counts(rho, tomography_settings(), total, seed=seed)
               for rho in (PHI.density(), DEPHASED) for total in range(1, 11)
@@ -689,7 +742,7 @@ def test_tomo_mle_start_gives_every_setting_positive_probability():
     for records in cases:
         start = tomo_mle(records, max_iterations=0)
         assert math.isfinite(start.log_likelihood)
-        freqs = np.array([r.count / r.scale for r in records], dtype=complex)
+        freqs = _stationary_frequencies(records, _HV_TRACE_ROW).astype(complex)
         chi = np.linalg.lstsq(design, freqs, rcond=None)[0].reshape(4, 4)
         floor = 1e-6 / np.maximum(np.linalg.eigvalsh(0.5 * (chi + chi.conj().T)), 1e-6).sum()
         probs = [np.real(np.trace(start.rho_hat.matrix @ r.setting.joint_projector()))
@@ -705,7 +758,7 @@ def test_tomo_mle_certifies_low_counts_without_hv_counts(total, seeds):
     # their Poisson likelihood is well defined.
     for seed in seeds:
         records = simulate_counts(PHI.density(), tomography_settings(), total, seed=seed)
-        assert _hv_frequency_total(records) == 0
+        assert _hv_count_total(records) == 0
         fit = tomo_mle(records)
         assert fit.converged and fit.gap <= 1e-6
 
@@ -718,6 +771,109 @@ def test_tomo_mle_certifies_scaled_zero_counts():
     best = -100.0 * np.linalg.eigvalsh(sum(s.joint_projector() for s in tomography_settings()))[0]
     assert fit.converged
     assert best - fit.gap - 1e-9 <= fit.log_likelihood <= best + 1e-9
+
+
+@pytest.mark.parametrize("scales", [1e4, np.linspace(1e3, 1e5, 16)], ids=["equal", "unequal"])
+def test_tomo_mle_certifies_exact_counts_at_the_start(scales):
+    # With 16 settings and every count positive, the start is the exact
+    # maximum of the likelihood on the trace-one plane.  For the exact
+    # expected counts N_k p_k of a full-rank state that is the state itself,
+    # so its gap is 0 and the fit certifies it without a Newton step.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        rho = DensityOperator(0.8 * random_density(4, rng).matrix + 0.05 * np.eye(4))
+        records = [CountRecord(s, float(n * p), scale=float(n)) for s, n, p in
+                   zip(tomography_settings(), np.broadcast_to(scales, 16),
+                       [np.real(np.trace(rho.matrix @ s.joint_projector()))
+                        for s in tomography_settings()])]
+        fit = tomo_mle(records)
+        assert fit.iterations == 0 and fit.converged
+        np.testing.assert_allclose(fit.rho_hat.matrix, rho.matrix, rtol=0, atol=1e-12)
+
+
+def _read_stationary(records):
+    # The trace row, the frequencies n / N and tomo_mle's stationary point.
+    from dfslink.analysis import _read_records, _stationary_probabilities
+
+    (_, _, trace_row), counts, scales = _read_records(records)
+    return trace_row, counts / scales, _stationary_probabilities(trace_row, counts, scales)
+
+
+@pytest.mark.parametrize("case", ["no-hv-counts", "zero-counts", "scale-free",
+                                  "tomography-and-stokes"])
+def test_tomo_mle_certifies_degenerate_record_sets(case):
+    # With no H/V count, or no count at all, no trace-one point has the
+    # stationary form and the start keeps n / N; records without a scale
+    # divide the H/V counts by their own total already, so lam = 0.  With the
+    # 28 settings of tomography and Stokes the start has trace one but is no
+    # stationary point.  Each fit is certified.
+    rho = random_density(4, np.random.default_rng(4), rank=3)
+    records = {
+        "no-hv-counts": simulate_counts(PHI.density(), tomography_settings(), 1, seed=1),
+        "zero-counts": [CountRecord(s, 0, scale=100.0) for s in tomography_settings()],
+        "scale-free": [CountRecord(r.setting, r.count) for r in
+                       simulate_counts(rho, tomography_settings(), 1000, seed=4)],
+        "tomography-and-stokes": simulate_counts(rho, tomography_settings() + stokes_settings(),
+                                                 1000, seed=4),
+    }[case]
+    trace_row, freqs, probs = _read_stationary(records)
+    if case == "tomography-and-stokes":
+        assert abs(trace_row @ probs - 1.0) <= 1e-12
+        assert np.abs(probs - freqs).max() > 1e-4
+    else:
+        np.testing.assert_array_equal(probs, freqs)
+    fit = tomo_mle(records)
+    assert fit.converged and fit.gap <= 1e-6
+
+
+def test_tomo_mle_start_solves_a_trace_row_of_both_signs():
+    # Analyzers H, D, R and a 30-degree polarizer: I = sum_j w_j P_j with w =
+    # (1 + r3, 3 + r3, 0, -2 (1 + r3)), r3 = sqrt(3), so the trace row c = w
+    # (x) w has entries of both signs.  Tripling the counts of the settings
+    # with c_k < 0 makes c . (n / N) negative, so the root is bracketed and
+    # bisected; with counts only there, c . p < 0 for every lam and the
+    # start keeps n / N.  Each start is the oracle's and each fit certified.
+    r3 = math.sqrt(3.0)
+    w = np.array([1 + r3, 3 + r3, 0.0, -2 * (1 + r3)])
+    trace_row = np.kron(w, w)
+    names = ("H", "D", "R", 30.0)
+    settings = [MeasSetting(a, b) for a in names for b in names]
+    rho = random_density(4, np.random.default_rng(5))
+    exact = simulate_counts(rho, settings, 1000.0, seed=5)
+    tripled = [CountRecord(r.setting, r.count * (3 if c < 0 else 1), scale=r.scale)
+               for r, c in zip(exact, trace_row)]
+    negative_only = [CountRecord(r.setting, r.count if c < 0 else 0, scale=r.scale)
+                     for r, c in zip(exact, trace_row)]
+    for records in (exact, tripled, negative_only):
+        code_row, freqs, probs = _read_stationary(records)
+        np.testing.assert_allclose(code_row, trace_row, rtol=0, atol=1e-12)
+        if records is negative_only:
+            np.testing.assert_array_equal(probs, freqs)
+        else:
+            assert abs(trace_row @ probs - 1.0) <= 1e-10
+            np.testing.assert_allclose(probs, _stationary_frequencies(records, trace_row),
+                                       rtol=1e-9, atol=0)
+        assert (trace_row @ freqs < 0) == (records is not exact)
+        start = tomo_mle(records, max_iterations=0)
+        np.testing.assert_allclose(start.rho_hat.matrix, _floored_inversion(settings, probs),
+                                   rtol=0, atol=1e-10)
+        fit = tomo_mle(records)
+        assert fit.converged and fit.gap <= 1e-6
+
+
+def test_tomo_mle_newton_steps_on_the_circular_link():
+    # Seeded guard on the fit's cost: 100 Poisson record sets of the circular
+    # link output of the benchmark's paper run, at 1000 counts per setting,
+    # take 198 Newton steps in all (48 fits certify at the start).
+    spec = DephasingSpec(basis=CIRCULAR_BASIS, per_photon_sigma=1.0, delta_sigma=0.5,
+                         distribution="gaussian")
+    rho = distribute(ProtocolInput(PHI.density(), spec, True)).state
+    steps = 0
+    for seed in range(100):
+        fit = tomo_mle(simulate_counts(rho, tomography_settings(), 1000, seed=seed))
+        assert fit.converged
+        steps += fit.iterations
+    assert steps <= 198
 
 
 def test_tomo_linear_divides_each_count_by_its_scale():

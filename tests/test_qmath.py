@@ -157,6 +157,8 @@ def test_eig_hermitian_rejects_non_hermitian():
                  "^eig_hermitian requires a finite square matrix$", id="eig-not-square"),
     pytest.param(lambda: trace_distance(KET_H.density(), prepare_phi_minus().density()),
                  "^dimension mismatch$", id="trace-distance-dimensions"),
+    pytest.param(lambda: projector(np.array([1, 0])),
+                 "^state must be a StateVector, got ndarray$", id="projector-ndarray"),
 ])
 def test_qmath_rejection_messages(call, match):
     with pytest.raises(ValueError, match=match):
